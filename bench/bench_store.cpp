@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
       const core::SolveReport solved =
           core::SolverRegistry::global().at(cls.backend).solve(
               canonical.request);
-      std::string value = core::report_to_json(solved).dump();
+      std::string value;
+      core::append_report_json(value, solved);
       raw_bytes += value.size();
       load.emplace_back(std::move(canonical.key), std::move(value));
     }

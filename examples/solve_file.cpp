@@ -193,7 +193,9 @@ int main(int argc, char** argv) {
     }
 
     if (json) {
-      std::printf("%s\n", core::report_to_json(report).dump().c_str());
+      std::string text;
+      core::append_report_json(text, report);
+      std::printf("%s\n", text.c_str());
       continue;
     }
 

@@ -74,9 +74,11 @@ std::shared_ptr<const core::SolveReport> SolutionCache::lookup(
 
 void SolutionCache::insert(const GameKey& key,
                            std::shared_ptr<const core::SolveReport> report) {
-  if (store_)
-    store_->put(key.digest, key.blob,
-                core::report_to_json(*report).dump());
+  if (store_) {
+    std::string value;
+    core::append_report_json(value, *report);
+    store_->put(key.digest, key.blob, value);
+  }
   insert_local(key, std::move(report));
 }
 

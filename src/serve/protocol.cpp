@@ -305,13 +305,12 @@ WireRequest parse_frame_request(unsigned char type, const std::string& payload,
 
 void render_solve_ok_body(std::string& body, const util::Json& id, bool cached,
                           const core::SolveReport& report) {
-  util::Json out = util::Json::object();
-  out.set("ok", true);
-  out.set("id", id);
-  out.set("cached", cached);
-  out.set("report", core::report_to_json(report));
-  body.clear();
-  body += out.dump();
+  body.assign("{\"ok\":true,\"id\":");
+  id.dump_append(body);
+  body += cached ? ",\"cached\":true,\"report\":"
+                 : ",\"cached\":false,\"report\":";
+  core::append_report_json(body, report);
+  body += '}';
 }
 
 void render_progress_body(std::string& body, const util::Json& id,
@@ -354,35 +353,6 @@ void render_ok_body(std::string& body, const util::Json& id,
   out.set(key, std::move(payload));
   body.clear();
   body += out.dump();
-}
-
-std::string render_solve_ok(const util::Json& id, bool cached,
-                            const core::SolveReport& report) {
-  std::string body;
-  render_solve_ok_body(body, id, cached, report);
-  return body + "\n";
-}
-
-std::string render_progress(const util::Json& id,
-                            const core::ProgressSnapshot& snapshot) {
-  std::string body;
-  render_progress_body(body, id, snapshot);
-  return body + "\n";
-}
-
-std::string render_error(const util::Json& id, const std::string& code,
-                         const std::string& message,
-                         std::optional<double> retry_after_s) {
-  std::string body;
-  render_error_body(body, id, code, message, retry_after_s);
-  return body + "\n";
-}
-
-std::string render_ok(const util::Json& id, const std::string& key,
-                      util::Json payload) {
-  std::string body;
-  render_ok_body(body, id, key, std::move(payload));
-  return body + "\n";
 }
 
 }  // namespace cnash::serve

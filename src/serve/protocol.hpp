@@ -172,11 +172,13 @@ WireRequest parse_frame_request(unsigned char type, const std::string& payload,
 
 // ---- Response rendering ----------------------------------------------------
 //
-// The *_body variants render the compact JSON body with no trailing newline
+// The *_body functions render the compact JSON body with no trailing newline
 // into `body` (cleared first), so a connection reuses one buffer and wraps it
 // in its negotiated framing: JSON-lines appends '\n', binary wraps it in a
-// frame. The string-returning forms are JSON-lines convenience wrappers.
+// frame.
 
+/// {"ok":true,"id":...,"cached":...,"report":{...}}, streamed into `body`
+/// by core::append_report_json with no document tree.
 void render_solve_ok_body(std::string& body, const util::Json& id, bool cached,
                           const core::SolveReport& report);
 /// Interim anytime frame: {"ok":true,"id":...,"progress":{units_total,
@@ -187,18 +189,8 @@ void render_progress_body(std::string& body, const util::Json& id,
 void render_error_body(std::string& body, const util::Json& id,
                        const std::string& code, const std::string& message,
                        std::optional<double> retry_after_s = std::nullopt);
+/// Generic success envelope: {"ok":true,"id":...,<key>:<payload>}.
 void render_ok_body(std::string& body, const util::Json& id,
                     const std::string& key, util::Json payload);
-
-std::string render_solve_ok(const util::Json& id, bool cached,
-                            const core::SolveReport& report);
-std::string render_progress(const util::Json& id,
-                            const core::ProgressSnapshot& snapshot);
-std::string render_error(const util::Json& id, const std::string& code,
-                         const std::string& message,
-                         std::optional<double> retry_after_s = std::nullopt);
-/// Generic success envelope: {"ok":true,"id":...,<key>:<payload>}.
-std::string render_ok(const util::Json& id, const std::string& key,
-                      util::Json payload);
 
 }  // namespace cnash::serve

@@ -1,9 +1,10 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace cnash::util {
 
@@ -11,46 +12,43 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+/// The value std::strtod gives a decimal whose magnitude from_chars reports
+/// as out of range: ±inf on overflow, ±0 on underflow. `first..last` is a
+/// grammar-checked JSON number; the sign of the decimal exponent of its
+/// leading nonzero digit tells the two apart (|x| >= 1 cannot underflow,
+/// |x| < 1 cannot overflow).
+double out_of_range_value(const char* first, const char* last) {
+  const bool negative = *first == '-';
+  if (negative) ++first;
+  long lead = 0;  // decimal exponent of the leading nonzero digit, before e
+  bool seen = false;
+  const char* p = first;
+  for (; p != last && *p >= '0' && *p <= '9'; ++p) {
+    if (seen)
+      ++lead;
+    else if (*p != '0')
+      seen = true;
+  }
+  if (p != last && *p == '.') {
+    for (++p; p != last && *p >= '0' && *p <= '9'; ++p) {
+      if (seen) continue;
+      --lead;
+      if (*p != '0') seen = true;
     }
   }
-  out += '"';
-}
-
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
+  long exponent = 0;
+  if (p != last) {  // 'e' or 'E'
+    ++p;
+    const bool negative_exp = *p == '-';
+    if (*p == '-' || *p == '+') ++p;
+    for (; p != last; ++p)
+      if (exponent < 100000) exponent = exponent * 10 + (*p - '0');
+    if (negative_exp) exponent = -exponent;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Round-trip precision without noise: prefer the shortest of %.17g / %g
-  // that parses back to the same double, so integers and short decimals stay
-  // readable in golden files and on the wire.
-  char shorter[40];
-  std::snprintf(shorter, sizeof shorter, "%g", v);
-  if (std::strtod(shorter, nullptr) == v)
-    out += shorter;
-  else
-    out += buf;
+  const double magnitude = lead + exponent >= 0
+                               ? std::numeric_limits<double>::infinity()
+                               : 0.0;
+  return negative ? -magnitude : magnitude;
 }
 
 /// Recursive-descent parser over [text, text+size). Throws JsonError.
@@ -276,7 +274,13 @@ class Parser {
         ++pos_;
       if (digits() == 0) fail("digits required in exponent");
     }
-    return Json::number(std::strtod(text_.c_str() + start, nullptr));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double v = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, v);
+    if (r.ec == std::errc::result_out_of_range)
+      v = out_of_range_value(first, last);
+    return Json::number(v);
   }
 
   const std::string& text_;
@@ -284,6 +288,49 @@ class Parser {
 };
 
 }  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  // %g when it reads back as the same double, else %.17g (always does):
+  // integers and short decimals stay readable in golden files and on the
+  // wire. to_chars with a precision is printf in the "C" locale.
+  char buf[32];
+  std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
+  double back = 0.0;
+  std::from_chars(buf, r.ptr, back);
+  if (back != v)
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                      17);
+  out.append(buf, r.ptr);
+}
 
 JsonError::JsonError(std::size_t offset, const std::string& message)
     : std::runtime_error("json: " + message + " (offset " +
@@ -388,8 +435,8 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: out += "null"; return;
     case Type::kBool: out += flag_ ? "true" : "false"; return;
-    case Type::kNumber: append_number(out, num_); return;
-    case Type::kString: append_escaped(out, str_); return;
+    case Type::kNumber: append_json_number(out, num_); return;
+    case Type::kString: append_json_string(out, str_); return;
     case Type::kArray:
     case Type::kObject: {
       const bool is_obj = type_ == Type::kObject;
@@ -401,7 +448,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
           out.append(static_cast<std::size_t>((depth + 1) * indent), ' ');
         }
         if (is_obj) {
-          append_escaped(out, children_[i].first);
+          append_json_string(out, children_[i].first);
           out += ':';
           if (indent > 0) out += ' ';
         }

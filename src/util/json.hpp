@@ -4,9 +4,17 @@
 // drivers, so every JSON line the repo emits or accepts goes through one
 // implementation. Objects keep insertion order (rendering is deterministic —
 // the serving cache relies on byte-identical replay of a response), numbers
-// are doubles printed with round-trip precision, and non-finite numbers dump
-// as null (JSON has no NaN/Inf; parse maps null back to NaN where the schema
-// expects a number).
+// are doubles, and non-finite numbers dump as null (JSON has no NaN/Inf;
+// parse maps null back to NaN where the schema expects a number).
+//
+// Number contract (wire, store values and golden files depend on it):
+//   * dump writes printf "%g" when that reads back as the same double, else
+//     "%.17g", which always does — via std::to_chars, so the bytes are those
+//     of printf in the "C" locale whatever the process locale is;
+//   * parse reads with std::from_chars, exact and locale-independent; a
+//     magnitude out of double range reads as ±inf (overflow) or ±0
+//     (underflow), as strtod gives it;
+//   * so parse(dump(x)) is bit-identical to x for every finite double.
 //
 // The parser is defensive — it fronts a TCP server: depth-limited recursion,
 // exact offsets in errors, no exceptions other than JsonError.
@@ -14,6 +22,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -100,6 +109,8 @@ class Json {
 
   /// Compact single-line rendering (the wire format).
   std::string dump() const;
+  /// dump() appended to `out`.
+  void dump_append(std::string& out) const { dump_to(out, 0, 0); }
   /// Indented rendering (golden files, human inspection).
   std::string pretty(int indent = 2) const;
 
@@ -112,5 +123,12 @@ class Json {
   std::string str_;
   std::vector<std::pair<std::string, Json>> children_;
 };
+
+/// Streaming writers for code that renders a fixed schema without building
+/// a tree (core::append_report_json); dump() is made of the same two.
+/// Appends `s` as a quoted, escaped JSON string.
+void append_json_string(std::string& out, std::string_view s);
+/// Appends `v` per the number contract above (non-finite → null).
+void append_json_number(std::string& out, double v);
 
 }  // namespace cnash::util

@@ -16,6 +16,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/report_json.hpp"
 #include "core/service.hpp"
@@ -169,6 +171,54 @@ TEST(ReportJson, RejectsSchemaViolations) {
                       "is_nash":false,"regret":0,
                       "profile":{"intervals":4,"p":[1],"q":[4]}}]})");
   EXPECT_THROW(report_from_json(bad_profile), util::JsonError);
+}
+
+TEST(ReportJson, RejectsCountsOutOfRangeBeforeCasting) {
+  // Casting a negative, NaN (null) or huge double to an unsigned integer is
+  // undefined behaviour; every integer field is range-checked first.
+  const std::string head =
+      R"({"backend":"b","game":"g","best_objective":0,"modeled_time_s":0,)"
+      R"("wall_clock_s":0,)";
+  const std::string sample =
+      R"({"p":[1.0],"q":[1.0],"objective":0,"valid":true,"is_nash":false,)"
+      R"("regret":0)";
+  const std::string profile = R"(,"profile":{"intervals":4,"p":[4],"q":[4]}})";
+  auto report = [&](const std::string& counts, const std::string& s) {
+    return head + counts + R"(,"samples":[)" + s + "]}";
+  };
+  const std::string ok_counts = R"("nash_count":0,"valid_count":0)";
+  const std::string ok_sample = sample + profile;
+  // The well-formed baseline parses.
+  EXPECT_NO_THROW(
+      report_from_json(util::Json::parse(report(ok_counts, ok_sample))));
+
+  const std::vector<std::string> bad = {
+      // The four crafted documents: -1, null (NaN), 1e20, and a tick count.
+      report(R"("nash_count":-1,"valid_count":0)", ok_sample),
+      report(R"("nash_count":0,"valid_count":null)", ok_sample),
+      report(ok_counts + R"(,"units_total":1e20)", ok_sample),
+      report(ok_counts,
+             sample + R"(,"profile":{"intervals":4,"p":[1e20],"q":[4]}})"),
+      // The other integer fields.
+      report(ok_counts + R"(,"units_completed":-1)", ok_sample),
+      report(ok_counts + R"(,"fallback_count":null)", ok_sample),
+      report(ok_counts + R"(,"re_swap_proposals":1e20)", ok_sample),
+      report(ok_counts + R"(,"re_swap_accepts":-1)", ok_sample),
+      report(ok_counts, sample + R"(,"swap_proposals":-1)" + profile),
+      report(ok_counts, sample + R"(,"swap_accepts":1e20)" + profile),
+      report(ok_counts,
+             sample + R"(,"profile":{"intervals":1e20,"p":[4],"q":[4]}})"),
+      report(ok_counts,
+             sample + R"(,"profile":{"intervals":null,"p":[4],"q":[4]}})"),
+      report(ok_counts,
+             sample + R"(,"profile":{"intervals":4,"p":[4],"q":[null]}})"),
+      report(ok_counts,
+             sample + R"(,"profile":{"intervals":4,"p":[-1],"q":[4]}})"),
+      report(R"("nash_count":1.5,"valid_count":0)", ok_sample),
+  };
+  for (const std::string& text : bad)
+    EXPECT_THROW(report_from_json(util::Json::parse(text)), util::JsonError)
+        << text;
 }
 
 TEST(Json, ParserHandlesEscapesAndNesting) {

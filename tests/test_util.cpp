@@ -2,8 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -205,6 +212,117 @@ TEST(Table, CsvQuotesSpecials) {
 TEST(Table, RowArityEnforced) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only one"}), std::invalid_argument);
+}
+
+
+// ---- Json number contract ----------------------------------------------------
+//
+// util/json.hpp: dump writes printf "%g" when strtod reads that back as the
+// same double, else "%.17g"; parse(dump(x)) is bit-identical to x. The
+// reference below is written with snprintf/strtod (this test never changes
+// the locale, so they run in the "C" locale the contract names).
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+double from_bits(std::uint64_t b) {
+  double x;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+std::string printf_reference(double x) {
+  char shortest[40];
+  std::snprintf(shortest, sizeof shortest, "%g", x);
+  if (std::strtod(shortest, nullptr) == x) return shortest;
+  char full[40];
+  std::snprintf(full, sizeof full, "%.17g", x);
+  return full;
+}
+
+/// ~10^5 finite doubles: the values reports carry (k/I fractions, counts)
+/// plus the corners of the format (signed zeros, denormals, huge and tiny
+/// exponents) and random bit patterns.
+std::vector<double> contract_doubles() {
+  Rng rng(0x5eed1e55);
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            4.9e-324,
+                            -4.9e-324,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(),
+                            -std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::epsilon(),
+                            1e300,
+                            -1e300,
+                            1e-300,
+                            -1e-300,
+                            9007199254740992.0,
+                            999999.0,
+                            1000000.0,
+                            0.1,
+                            1.0 / 3.0};
+  for (int i = 0; i < 25000; ++i) {  // k/I, I <= 4096
+    const auto intervals = static_cast<double>(rng.uniform_int(1, 4096));
+    const auto k = static_cast<double>(
+        rng.uniform_int(0, static_cast<std::int64_t>(intervals)));
+    xs.push_back(k / intervals);
+  }
+  for (int i = 0; i < 15000; ++i)  // integers up to 2^53, either sign
+    xs.push_back(static_cast<double>(rng() >> 11) * (i % 2 ? -1.0 : 1.0));
+  for (int i = 0; i < 10000; ++i)  // denormals
+    xs.push_back(from_bits((rng() & 0x800fffffffffffffULL) | 1u));
+  for (int i = 0; i < 10000; ++i) {  // around 1e+-300
+    const double scale = i % 2 ? 1e300 : 1e-300;
+    xs.push_back(scale * rng.uniform(0.5, 5.0));
+  }
+  while (xs.size() < 100000) {  // random bit patterns, finite only
+    const double x = from_bits(rng());
+    if (std::isfinite(x)) xs.push_back(x);
+  }
+  return xs;
+}
+
+TEST(JsonNumbers, DumpMatchesPrintfAndParsesBackBitExact) {
+  std::size_t mismatches = 0;
+  for (const double x : contract_doubles()) {
+    const std::string text = Json::number(x).dump();
+    const std::string want = printf_reference(x);
+    if (text != want && ++mismatches <= 5)
+      ADD_FAILURE() << "dump " << text << " != printf " << want;
+    const double back = Json::parse(text).as_number();
+    if (bits_of(back) != bits_of(x) && ++mismatches <= 5)
+      ADD_FAILURE() << text << " parsed back as a different double";
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonNumbers, OutOfRangeParsesAsStrtodDoes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Json::parse("1e999").as_number(), inf);
+  EXPECT_EQ(Json::parse("-1e999").as_number(), -inf);
+  const double tiny = Json::parse("1e-400").as_number();
+  EXPECT_EQ(tiny, 0.0);
+  EXPECT_FALSE(std::signbit(tiny));
+  const double negative_zero = Json::parse("-0").as_number();
+  EXPECT_EQ(negative_zero, 0.0);
+  EXPECT_TRUE(std::signbit(negative_zero));
+  // The leading digit's place, not the exponent's sign, decides overflow vs
+  // underflow; every case agrees with strtod bit for bit.
+  const std::string zeros(400, '0');
+  const std::vector<std::string> texts = {
+      "-1e-400",  "1" + zeros + "e-5", "0." + zeros + "1e5",
+      "1" + zeros, "-0." + zeros + "1", "4.9e-324", "2e-324", "1.8e308",
+      "123.456e99999999999999999999", "0.5e-99999999999999999999"};
+  for (const std::string& text : texts) {
+    EXPECT_EQ(bits_of(Json::parse(text).as_number()),
+              bits_of(std::strtod(text.c_str(), nullptr)))
+        << text;
+  }
 }
 
 }  // namespace
