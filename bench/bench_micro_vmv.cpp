@@ -9,13 +9,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/anneal.hpp"
 #include "core/engine.hpp"
 #include "core/solver.hpp"
-#include "core/two_phase.hpp"
 #include "game/games.hpp"
 #include "qubo/annealer.hpp"
 #include "qubo/squbo_builder.hpp"
@@ -26,6 +26,14 @@
 namespace {
 
 using namespace cnash;
+
+/// The hardware evaluator "hardware-sa" runs: one chip tile per array.
+std::unique_ptr<chip::TiledTwoPhaseEvaluator> hardware(
+    const game::BimatrixGame& g, std::uint32_t intervals, std::uint64_t seed) {
+  return core::HardwareEvaluatorFactory(g, intervals, core::TwoPhaseConfig{},
+                                        util::Rng(seed))
+      .create_hardware(0);
+}
 
 void BM_LaMultiply(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -82,27 +90,25 @@ BENCHMARK(BM_ExactObjective);
 void BM_TwoPhaseHardwareEval(benchmark::State& state) {
   const auto inst = game::paper_benchmarks()[static_cast<std::size_t>(
       state.range(0))];
-  core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(inst.game, inst.intervals, cfg, util::Rng(2));
+  const auto hw = hardware(inst.game, inst.intervals, 2);
   util::Rng rng(3);
   game::QuantizedProfile prof{
       game::QuantizedStrategy::random(inst.game.num_actions1(), inst.intervals,
                                       rng),
       game::QuantizedStrategy::random(inst.game.num_actions2(), inst.intervals,
                                       rng)};
-  for (auto _ : state) benchmark::DoNotOptimize(hw.evaluate(prof));
+  for (auto _ : state) benchmark::DoNotOptimize(hw->evaluate(prof));
 }
 BENCHMARK(BM_TwoPhaseHardwareEval)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_CrossbarVmvRead(benchmark::State& state) {
   const auto inst = game::paper_benchmarks()[2];
-  core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(inst.game, inst.intervals, cfg, util::Rng(4));
+  const auto hw = hardware(inst.game, inst.intervals, 4);
   util::Rng rng(5);
   const auto p = game::QuantizedStrategy::random(8, 60, rng).counts();
   const auto q = game::QuantizedStrategy::random(8, 60, rng).counts();
   for (auto _ : state)
-    benchmark::DoNotOptimize(hw.crossbar_m().read_vmv(p, q));
+    benchmark::DoNotOptimize(hw->chip_m().tile(0, 0).read_vmv(p, q));
 }
 BENCHMARK(BM_CrossbarVmvRead);
 
@@ -112,22 +118,21 @@ void BM_TwoPhaseIncrementalPropose(benchmark::State& state) {
   // BM_TwoPhaseHardwareEval.
   const auto inst = game::paper_benchmarks()[static_cast<std::size_t>(
       state.range(0))];
-  core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(inst.game, inst.intervals, cfg, util::Rng(2));
+  const auto hw = hardware(inst.game, inst.intervals, 2);
   util::Rng rng(3);
   game::QuantizedProfile prof{
       game::QuantizedStrategy::random(inst.game.num_actions1(), inst.intervals,
                                       rng),
       game::QuantizedStrategy::random(inst.game.num_actions2(), inst.intervals,
                                       rng)};
-  hw.reset(prof);
+  hw->reset(prof);
   std::size_t from = 0;
   while (prof.p.count(from) == 0) ++from;
   const std::size_t to = (from + 1) % inst.game.num_actions1();
   const core::TickMove mv{core::TickMove::Player::kRow,
                           static_cast<std::uint32_t>(from),
                           static_cast<std::uint32_t>(to)};
-  for (auto _ : state) benchmark::DoNotOptimize(hw.propose(&mv, 1));
+  for (auto _ : state) benchmark::DoNotOptimize(hw->propose(&mv, 1));
 }
 BENCHMARK(BM_TwoPhaseIncrementalPropose)->Arg(0)->Arg(1)->Arg(2);
 
@@ -142,13 +147,12 @@ void BM_WtaTreeReduce(benchmark::State& state) {
 BENCHMARK(BM_WtaTreeReduce)->Arg(2)->Arg(8)->Arg(64);
 
 void BM_SaIterationBattleOfSexes(benchmark::State& state) {
-  core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(game::battle_of_sexes(), 12, cfg, util::Rng(7));
+  const auto hw = hardware(game::battle_of_sexes(), 12, 7);
   util::Rng rng(8);
   core::SaOptions opts;
   opts.iterations = 100;
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::simulated_annealing(hw, 12, opts, rng));
+    benchmark::DoNotOptimize(core::simulated_annealing(*hw, 12, opts, rng));
 }
 BENCHMARK(BM_SaIterationBattleOfSexes)->Unit(benchmark::kMicrosecond);
 

@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
     opts.threads = cli.threads;
     auto factory = std::make_shared<core::HardwareEvaluatorFactory>(
         g, intervals, core::TwoPhaseConfig{}, util::Rng(opts.seed));
-    const auto probe = factory->create_hardware(core::kProbeInstanceKey);
-    const xbar::MappingGeometry geom = probe->crossbar_m().mapping().geometry();
+    const xbar::MappingGeometry geom = factory->geometry().m;
     core::SolverEngine engine(factory, opts);
     std::vector<core::CandidateSolution> cands;
     for (const auto& o : engine.run(runs)) cands.push_back({o.p, o.q});
@@ -189,7 +188,10 @@ int main(int argc, char** argv) {
     auto timed_run = [&](bool incremental, double* objective) {
       core::TwoPhaseConfig cfg;
       cfg.incremental = incremental;
-      core::TwoPhaseEvaluator hw_eval(g, intervals, cfg, util::Rng(808));
+      chip::TiledTwoPhaseEvaluator hw_eval(
+          g, intervals, cfg,
+          chip::single_tile_chip(chip::mapped_geometry(g, intervals, cfg)),
+          util::Rng(808));
       util::Rng sa_rng(909);
       const auto t0 = std::chrono::steady_clock::now();
       const auto res = core::simulated_annealing(hw_eval, intervals, sa, sa_rng);

@@ -11,8 +11,9 @@
 //     adders vs one giant array;
 //   * modeled read energy per iteration (xbar/energy), including the
 //     aggregation adders.
-// The monolithic evaluator is also *simulated* above the bench_scaling
-// cap (96 actions) for reference, but the modeled columns are the point:
+// The monolithic array — the single-tile chip "hardware-sa" runs — is also
+// *simulated* above the bench_scaling cap (96 actions) for reference, but
+// the modeled columns are the point:
 // past a few hundred lines the monolithic array is parasitics-bound while
 // the tiles stay at their fixed operating point. The tiled path is the one
 // that lifts the solvable range to >= 256 actions.
@@ -29,7 +30,6 @@
 #include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
 #include "core/timing.hpp"
-#include "core/two_phase.hpp"
 #include "game/random_games.hpp"
 #include "util/table.hpp"
 #include "xbar/area.hpp"
@@ -96,7 +96,10 @@ int main(int argc, char** argv) {
       return total / static_cast<double>(runs);
     };
 
-    core::TwoPhaseEvaluator mono(g, intervals, cfg, util::Rng(1000 + n));
+    chip::TiledTwoPhaseEvaluator mono(
+        g, intervals, cfg,
+        chip::single_tile_chip(chip::mapped_geometry(g, intervals, cfg)),
+        util::Rng(1000 + n));
     chip::TiledTwoPhaseEvaluator tiled(g, intervals, cfg, chip_cfg,
                                        util::Rng(1000 + n));
     double f_mono = 0.0, f_tiled = 0.0;
@@ -104,7 +107,7 @@ int main(int argc, char** argv) {
     const double dt_tiled = timed_sa(tiled, &f_tiled);
 
     const chip::TilePartition& part = tiled.chip_m().partition();
-    const xbar::MappingGeometry geom = mono.crossbar_m().mapping().geometry();
+    const xbar::MappingGeometry geom = mono.chip_m().mapping().geometry();
     core::TileGridTiming grid{chip_cfg.tile_rows, chip_cfg.tile_cols,
                               part.grid_rows(), part.grid_cols(), n};
     const double it_mono = timing.iteration_s(geom);
@@ -116,7 +119,7 @@ int main(int argc, char** argv) {
     const double ap_tiled = timing.tiled_analog_path_s(grid);
 
     const xbar::AreaBreakdown a_mono = area.macro(
-        geom, mono.crossbar_nt().mapping().geometry());
+        geom, mono.chip_nt().mapping().geometry());
     const xbar::AreaBreakdown a_tiled = area.tiled_macro(
         chip_cfg.tile_rows, chip_cfg.tile_cols, part.num_tiles(),
         tiled.chip_nt().partition().num_tiles(), n, n);

@@ -6,35 +6,6 @@
 
 namespace cnash::chip {
 
-TiledEvaluatorFactory::TiledEvaluatorFactory(game::BimatrixGame game,
-                                             std::uint32_t intervals,
-                                             core::TwoPhaseConfig config,
-                                             ChipConfig chip,
-                                             util::Rng device_rng,
-                                             util::FaultPlan fault)
-    : game_(std::move(game)),
-      intervals_(intervals),
-      config_(config),
-      chip_(chip),
-      device_rng_(device_rng),
-      fault_(fault) {}
-
-std::unique_ptr<core::ObjectiveEvaluator> TiledEvaluatorFactory::create(
-    std::uint64_t key) const {
-  return create_tiled(key);
-}
-
-std::unique_ptr<TiledTwoPhaseEvaluator> TiledEvaluatorFactory::create_tiled(
-    std::uint64_t key) const {
-  if (fault_.tile_failure_rate > 0.0) {
-    const util::FaultPlan plan = fault_.for_instance(key);
-    return std::make_unique<TiledTwoPhaseEvaluator>(
-        game_, intervals_, config_, chip_, device_rng_.split(key), &plan);
-  }
-  return std::make_unique<TiledTwoPhaseEvaluator>(
-      game_, intervals_, config_, chip_, device_rng_.split(key));
-}
-
 namespace {
 
 class TiledSaBackend final : public core::SolverBackend {
@@ -49,17 +20,11 @@ class TiledSaBackend final : public core::SolverBackend {
 
   std::unique_ptr<core::PreparedJob> prepare(
       const core::SolveRequest& request) const override {
-    auto factory = std::make_shared<TiledEvaluatorFactory>(
+    auto factory = std::make_shared<core::HardwareEvaluatorFactory>(
         request.game, request.intervals, request.hardware, request.chip,
         util::Rng(request.seed), request.fault);
-    // The tile-grid shape for the latency model is pure geometry — derive it
-    // from the mapped element matrix directly (same shift/scale/coding
-    // pipeline as the evaluator) instead of programming a probe chip.
-    const game::BimatrixGame shifted = request.game.shifted_non_negative(0.0);
-    const xbar::CrossbarMapping map(
-        shifted.payoff1() * request.hardware.value_scale, request.intervals,
-        request.hardware.cells_per_element, request.hardware.levels_per_cell);
-    const TilePartition part(map.geometry(), request.chip.tile_rows,
+    // The tile-grid shape for the latency model is pure geometry.
+    const TilePartition part(factory->geometry().m, request.chip.tile_rows,
                              request.chip.tile_cols);
     core::TileGridTiming grid;
     grid.tile_rows = request.chip.tile_rows;

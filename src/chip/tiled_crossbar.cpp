@@ -21,7 +21,19 @@ TiledCrossbar::TiledCrossbar(const la::Matrix& payoff, std::uint32_t intervals,
 
   // Program the grid row-major; every tile maps its element sub-range with
   // the GLOBAL cells-per-element so block geometry is uniform across tiles
-  // (and a 1×1 grid is byte-for-byte the monolithic array).
+  // (and a 1×1 grid is byte-for-byte one array programmed from the whole
+  // matrix).
+  for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
+    const TileRange r = part_.range(tr, 0);
+    row_start_.push_back(r.i0);
+    row_tile_.insert(row_tile_.end(), r.rows(), tr);
+  }
+  for (std::size_t tc = 0; tc < part_.grid_cols(); ++tc) {
+    const TileRange r = part_.range(0, tc);
+    col_start_.push_back(r.j0);
+    col_tile_.insert(col_tile_.end(), r.cols(), tc);
+  }
+
   tiles_.reserve(part_.num_tiles());
   for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
     for (std::size_t tc = 0; tc < part_.grid_cols(); ++tc) {
@@ -103,24 +115,6 @@ void TiledCrossbar::read_mv_partials(const std::uint32_t* groups_active,
   }
 }
 
-void TiledCrossbar::mv_group_delta(std::size_t j, std::uint32_t g_old,
-                                   std::uint32_t g_new,
-                                   double* partials) const {
-  // The affected tile column's slice is just the aggregate kernel rebased.
-  mv_group_delta_total(j, g_old, g_new, partials + part_.tile_of_col(j) * n());
-}
-
-void TiledCrossbar::mv_group_delta_total(std::size_t j, std::uint32_t g_old,
-                                         std::uint32_t g_new,
-                                         double* total) const {
-  const std::size_t tc = part_.tile_of_col(j);
-  for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
-    if (tile_dead(tr, tc)) continue;
-    const TileRange r = part_.range(tr, tc);
-    tile(tr, tc).mv_group_delta(j - r.j0, g_old, g_new, total + r.i0);
-  }
-}
-
 void TiledCrossbar::read_vmv_partials(const std::uint32_t* rows_active,
                                       const std::uint32_t* groups_active,
                                       double* vmv) const {
@@ -134,40 +128,6 @@ void TiledCrossbar::read_vmv_partials(const std::uint32_t* rows_active,
       vmv[tr * part_.grid_cols() + tc] =
           tile(tr, tc).read_vmv(rows_active + r.i0, groups_active + r.j0);
     }
-}
-
-double TiledCrossbar::vmv_row_delta(std::size_t i, std::uint32_t r_old,
-                                    std::uint32_t r_new,
-                                    const std::uint32_t* groups_active,
-                                    double* vmv_cells) const {
-  const std::size_t tr = part_.tile_of_row(i);
-  double total = 0.0;
-  for (std::size_t tc = 0; tc < part_.grid_cols(); ++tc) {
-    if (tile_dead(tr, tc)) continue;
-    const TileRange r = part_.range(tr, tc);
-    const double d = tile(tr, tc).vmv_row_delta(i - r.i0, r_old, r_new,
-                                                groups_active + r.j0);
-    if (vmv_cells) vmv_cells[tr * part_.grid_cols() + tc] += d;
-    total += d;
-  }
-  return total;
-}
-
-double TiledCrossbar::vmv_group_delta(std::size_t j, std::uint32_t g_old,
-                                      std::uint32_t g_new,
-                                      const std::uint32_t* rows_active,
-                                      double* vmv_cells) const {
-  const std::size_t tc = part_.tile_of_col(j);
-  double total = 0.0;
-  for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
-    if (tile_dead(tr, tc)) continue;
-    const TileRange r = part_.range(tr, tc);
-    const double d = tile(tr, tc).vmv_group_delta(j - r.j0, g_old, g_new,
-                                                  rows_active + r.i0);
-    if (vmv_cells) vmv_cells[tr * part_.grid_cols() + tc] += d;
-    total += d;
-  }
-  return total;
 }
 
 // ---- Digital readout --------------------------------------------------------

@@ -6,8 +6,8 @@
 // contiguous element-block range of the logical mapping, with its own
 // one-time-sampled device variability and faults (tiles are programmed in
 // grid row-major order from one RNG, so a 1×1 grid consumes exactly the
-// draw sequence of the monolithic array). Reads are tile-local and returned
-// as partials:
+// draw sequence of one array programmed from the whole matrix). Reads are
+// tile-local and returned as partials:
 //
 //   * Phase-1 MV reads produce, per tile COLUMN, the partial source-line
 //     currents of all n logical rows (each tile contributes its own row
@@ -19,8 +19,10 @@
 // Delta kernels route a single activation tick to the affected tile row /
 // column only: a column-group tick touches one tile column (O(n) work over
 // its row slices), a word-line tick touches one tile row (O(m) work over its
-// column slices) — the same asymptotics as the monolithic kernels, with the
-// work confined to 1/grid of the cell tables.
+// column slices) — the same asymptotics as a single array's kernels, with
+// the work confined to 1/grid of the cell tables. They sit on the SA hot
+// path, so they are defined inline below and find their tiles through
+// precomputed element→tile tables (no range arithmetic per call).
 //
 // A separate set of *digital* kernels computes the exact conducting-unit
 // counts (64-bit integers) the same reads would observe on an ideal
@@ -81,6 +83,11 @@ class TiledCrossbar {
   const TilePartition& partition() const { return part_; }
   const xbar::ProgrammedCrossbar& tile(std::size_t tr, std::size_t tc) const {
     return tiles_.at(tr * part_.grid_cols() + tc);
+  }
+  /// The grid's only tile when it is a live 1×1 grid, else nullptr: its
+  /// kernels are then exactly the tiled ones, minus the routing.
+  const xbar::ProgrammedCrossbar* sole_tile() const {
+    return tiles_.size() == 1 && !tile_dead(0, 0) ? &tiles_.front() : nullptr;
   }
 
   std::size_t n() const { return global_.geometry().n; }
@@ -160,9 +167,73 @@ class TiledCrossbar {
   xbar::CrossbarMapping global_;
   TilePartition part_;
   std::vector<xbar::ProgrammedCrossbar> tiles_;  // grid row-major
+  // Element row i lives in tile row row_tile_[i], whose first element row is
+  // row_start_[row_tile_[i]]; likewise for columns.
+  std::vector<std::size_t> row_tile_, col_tile_;
+  std::vector<std::size_t> row_start_, col_start_;
   std::uint32_t max_element_ = 0;
   std::vector<std::uint8_t> dead_;     // empty when no faults were injected
   std::vector<std::size_t> failed_;    // read-back failures, grid row-major
 };
+
+// ---- Inline delta kernels (SA hot path) -------------------------------------
+
+inline void TiledCrossbar::mv_group_delta(std::size_t j, std::uint32_t g_old,
+                                          std::uint32_t g_new,
+                                          double* partials) const {
+  // The affected tile column's slice is just the aggregate kernel rebased.
+  mv_group_delta_total(j, g_old, g_new, partials + col_tile_[j] * n());
+}
+
+inline void TiledCrossbar::mv_group_delta_total(std::size_t j,
+                                                std::uint32_t g_old,
+                                                std::uint32_t g_new,
+                                                double* total) const {
+  const std::size_t tc = col_tile_[j];
+  const std::size_t local_j = j - col_start_[tc];
+  const std::size_t grid_cols = part_.grid_cols();
+  for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
+    if (tile_dead(tr, tc)) continue;
+    tiles_[tr * grid_cols + tc].mv_group_delta(local_j, g_old, g_new,
+                                               total + row_start_[tr]);
+  }
+}
+
+inline double TiledCrossbar::vmv_row_delta(std::size_t i, std::uint32_t r_old,
+                                           std::uint32_t r_new,
+                                           const std::uint32_t* groups_active,
+                                           double* vmv_cells) const {
+  const std::size_t tr = row_tile_[i];
+  const std::size_t local_i = i - row_start_[tr];
+  const std::size_t grid_cols = part_.grid_cols();
+  double total = 0.0;
+  for (std::size_t tc = 0; tc < grid_cols; ++tc) {
+    if (tile_dead(tr, tc)) continue;
+    const double d = tiles_[tr * grid_cols + tc].vmv_row_delta(
+        local_i, r_old, r_new, groups_active + col_start_[tc]);
+    if (vmv_cells) vmv_cells[tr * grid_cols + tc] += d;
+    total += d;
+  }
+  return total;
+}
+
+inline double TiledCrossbar::vmv_group_delta(std::size_t j,
+                                             std::uint32_t g_old,
+                                             std::uint32_t g_new,
+                                             const std::uint32_t* rows_active,
+                                             double* vmv_cells) const {
+  const std::size_t tc = col_tile_[j];
+  const std::size_t local_j = j - col_start_[tc];
+  const std::size_t grid_cols = part_.grid_cols();
+  double total = 0.0;
+  for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
+    if (tile_dead(tr, tc)) continue;
+    const double d = tiles_[tr * grid_cols + tc].vmv_group_delta(
+        local_j, g_old, g_new, rows_active + row_start_[tr]);
+    if (vmv_cells) vmv_cells[tr * grid_cols + tc] += d;
+    total += d;
+  }
+  return total;
+}
 
 }  // namespace cnash::chip

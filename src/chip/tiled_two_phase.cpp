@@ -10,6 +10,46 @@
 
 namespace cnash::chip {
 
+namespace {
+
+/// The stored matrices: payoffs shifted to non-negative, then scaled for the
+/// integer cell coding. The MAX-QUBO objective is invariant to a common
+/// constant shift of both payoff matrices (Σp = Σq = 1 exactly on the
+/// quantized grid), and the scale divides out of f.
+struct ScaledPayoffs {
+  la::Matrix m, nt;
+};
+
+ScaledPayoffs scaled_payoffs(const game::BimatrixGame& game,
+                             double value_scale) {
+  if (value_scale <= 0.0)
+    throw std::invalid_argument("TiledTwoPhaseEvaluator: value_scale <= 0");
+  const game::BimatrixGame shifted = game.shifted_non_negative(0.0);
+  return {shifted.payoff1() * value_scale,
+          shifted.payoff2().transposed() * value_scale};
+}
+
+}  // namespace
+
+ArrayGeometry mapped_geometry(const game::BimatrixGame& game,
+                              std::uint32_t intervals,
+                              const core::TwoPhaseConfig& config) {
+  const ScaledPayoffs s = scaled_payoffs(game, config.value_scale);
+  auto geometry = [&](const la::Matrix& payoff) {
+    return xbar::CrossbarMapping(payoff, intervals, config.cells_per_element,
+                                 config.levels_per_cell)
+        .geometry();
+  };
+  return {geometry(s.m), geometry(s.nt)};
+}
+
+ChipConfig single_tile_chip(const ArrayGeometry& geometry) {
+  ChipConfig chip;
+  chip.tile_rows = std::max(geometry.m.total_rows(), geometry.nt.total_rows());
+  chip.tile_cols = std::max(geometry.m.total_cols(), geometry.nt.total_cols());
+  return chip;  // default readout: kAnalogHTree
+}
+
 TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
                                                std::uint32_t intervals,
                                                const core::TwoPhaseConfig& config,
@@ -24,30 +64,28 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
       value_scale_(config.value_scale) {
   if (intervals_ == 0)
     throw std::invalid_argument("TiledTwoPhaseEvaluator: I == 0");
-  if (value_scale_ <= 0.0)
-    throw std::invalid_argument("TiledTwoPhaseEvaluator: value_scale <= 0");
   if (config_.refresh_interval == 0)
     throw std::invalid_argument("TiledTwoPhaseEvaluator: refresh_interval == 0");
   if (chip_.aggregation_noise_rel < 0.0)
     throw std::invalid_argument(
         "TiledTwoPhaseEvaluator: aggregation_noise_rel < 0");
 
-  // Same shift/scale/coding pipeline — and the same RNG split order — as the
-  // monolithic TwoPhaseEvaluator, so a 1×1 grid replays its exact streams.
-  const game::BimatrixGame shifted = game_.shifted_non_negative(0.0);
-  const la::Matrix m_scaled = shifted.payoff1() * value_scale_;
-  const la::Matrix nt_scaled = shifted.payoff2().transposed() * value_scale_;
-
+  // RNG split order: M array, Nᵀ array, row WTA tree, column WTA tree; the
+  // rest of the stream is per-read noise. Changing it changes every
+  // hardware report (tests/data/hardware_sa_corpus.txt).
+  const ScaledPayoffs scaled = scaled_payoffs(game_, value_scale_);
   util::Rng rng_m = rng_.split();
   util::Rng rng_nt = rng_.split();
   chip_m_ = std::make_unique<TiledCrossbar>(
-      m_scaled, intervals_, config_.cells_per_element, config_.levels_per_cell,
+      scaled.m, intervals_, config_.cells_per_element, config_.levels_per_cell,
       config_.array, chip_.tile_rows, chip_.tile_cols, rng_m, fault,
       /*fault_scope=*/0);
   chip_nt_ = std::make_unique<TiledCrossbar>(
-      nt_scaled, intervals_, config_.cells_per_element, config_.levels_per_cell,
-      config_.array, chip_.tile_rows, chip_.tile_cols, rng_nt, fault,
-      kNtFaultScope);
+      scaled.nt, intervals_, config_.cells_per_element,
+      config_.levels_per_cell, config_.array, chip_.tile_rows, chip_.tile_cols,
+      rng_nt, fault, kNtFaultScope);
+  sole_m_ = chip_m_->sole_tile();
+  sole_nt_ = chip_nt_->sole_tile();
   if (!chip_m_->failed_tiles().empty() || !chip_nt_->failed_tiles().empty())
     throw ChipFault("TiledTwoPhaseEvaluator: program-time read-back failed (" +
                     std::to_string(chip_m_->failed_tiles().size()) +
@@ -64,6 +102,7 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
 
   const double intervals_sq =
       static_cast<double>(intervals_) * static_cast<double>(intervals_);
+  // Full scale: the largest possible read current of each array, with margin.
   auto make_adc = [&](const TiledCrossbar& xb) {
     xbar::AdcConfig ac;
     ac.bits = config_.adc_bits;
@@ -93,6 +132,8 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
   size_state(committed_);
   size_state(scratch_);
   size_state(eval_state_);
+  has_partials_ = chip_m_->partition().num_tiles() > 1 ||
+                  chip_nt_->partition().num_tiles() > 1;
 }
 
 void TiledTwoPhaseEvaluator::size_state(State& st) const {
@@ -103,12 +144,14 @@ void TiledTwoPhaseEvaluator::size_state(State& st) const {
     st.nt.mv_units.assign(m, 0);
     return;
   }
-  st.m.mv_partial.assign(chip_m_->partition().grid_cols() * n, 0.0);
-  st.m.mv_total.assign(n, 0.0);
-  st.m.vmv_partial.assign(chip_m_->partition().num_tiles(), 0.0);
-  st.nt.mv_partial.assign(chip_nt_->partition().grid_cols() * m, 0.0);
-  st.nt.mv_total.assign(m, 0.0);
-  st.nt.vmv_partial.assign(chip_nt_->partition().num_tiles(), 0.0);
+  auto size_array = [](ArrayState& a, const TilePartition& part,
+                       std::size_t rows) {
+    a.mv_total.assign(rows, 0.0);
+    if (part.grid_cols() > 1) a.mv_partial.assign(part.grid_cols() * rows, 0.0);
+    if (part.num_tiles() > 1) a.vmv_partial.assign(part.num_tiles(), 0.0);
+  };
+  size_array(st.m, chip_m_->partition(), n);
+  size_array(st.nt, chip_nt_->partition(), m);
 }
 
 void TiledTwoPhaseEvaluator::full_read(
@@ -122,38 +165,33 @@ void TiledTwoPhaseEvaluator::full_read(
         chip_nt_->digital_vmv_units(q_counts.data(), p_counts.data());
     return;
   }
-  chip_m_->read_mv_partials(q_counts.data(), st.m.mv_partial.data());
-  chip_nt_->read_mv_partials(p_counts.data(), st.nt.mv_partial.data());
-  chip_m_->read_vmv_partials(p_counts.data(), q_counts.data(),
-                             st.m.vmv_partial.data());
-  chip_nt_->read_vmv_partials(q_counts.data(), p_counts.data(),
-                              st.nt.vmv_partial.data());
-  // Aggregate: per-row sums over tile columns, grand total over the grid —
-  // fixed ascending order, so refreshes are reproducible.
-  auto aggregate = [](ArrayState& a, std::size_t rows) {
-    std::fill(a.mv_total.begin(), a.mv_total.end(), 0.0);
-    const std::size_t grid_cols = a.mv_partial.size() / rows;
-    for (std::size_t tc = 0; tc < grid_cols; ++tc) {
-      const double* col = a.mv_partial.data() + tc * rows;
-      for (std::size_t i = 0; i < rows; ++i) a.mv_total[i] += col[i];
+  // A single tile column / single tile reads straight into the totals;
+  // wider grids aggregate in fixed ascending order, so refreshes are
+  // reproducible.
+  auto read = [](const TiledCrossbar& xb, ArrayState& a,
+                 const std::uint32_t* rows_active,
+                 const std::uint32_t* groups_active) {
+    if (a.mv_partial.empty()) {
+      xb.read_mv_partials(groups_active, a.mv_total.data());
+    } else {
+      xb.read_mv_partials(groups_active, a.mv_partial.data());
+      const std::size_t rows = a.mv_total.size();
+      std::fill(a.mv_total.begin(), a.mv_total.end(), 0.0);
+      for (std::size_t tc = 0; tc < xb.partition().grid_cols(); ++tc) {
+        const double* col = a.mv_partial.data() + tc * rows;
+        for (std::size_t i = 0; i < rows; ++i) a.mv_total[i] += col[i];
+      }
     }
-    a.vmv_total = 0.0;
-    for (const double v : a.vmv_partial) a.vmv_total += v;
+    if (a.vmv_partial.empty()) {
+      xb.read_vmv_partials(rows_active, groups_active, &a.vmv_total);
+    } else {
+      xb.read_vmv_partials(rows_active, groups_active, a.vmv_partial.data());
+      a.vmv_total = 0.0;
+      for (const double v : a.vmv_partial) a.vmv_total += v;
+    }
   };
-  aggregate(st.m, game_.num_actions1());
-  aggregate(st.nt, game_.num_actions2());
-}
-
-double TiledTwoPhaseEvaluator::digitize(const State& st) {
-  switch (chip_.readout) {
-    case ChipReadout::kAnalogHTree:
-      return digitize_analog(st);
-    case ChipReadout::kPerTileAdc:
-      return digitize_per_tile_adc(st);
-    case ChipReadout::kIdealDigital:
-      return digitize_digital(st);
-  }
-  throw std::logic_error("TiledTwoPhaseEvaluator: unknown readout");
+  read(*chip_m_, st.m, p_counts.data(), q_counts.data());
+  read(*chip_nt_, st.nt, q_counts.data(), p_counts.data());
 }
 
 double TiledTwoPhaseEvaluator::digitize_analog(const State& st) {
@@ -194,11 +232,12 @@ double TiledTwoPhaseEvaluator::digitize_per_tile_adc(const State& st) {
   auto mv_max = [&](const TiledCrossbar& xb, const ArrayState& a,
                     const xbar::Adc& adc, std::size_t rows) {
     const std::size_t grid_cols = xb.partition().grid_cols();
+    const std::span<const double> partials = mv_partials(a);
     double best = -std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < rows; ++i) {
       double sum = 0.0;
       for (std::size_t tc = 0; tc < grid_cols; ++tc)
-        sum += adc.convert(a.mv_partial[tc * rows + i], rng_);
+        sum += adc.convert(partials[tc * rows + i], rng_);
       best = std::max(best, sum);
     }
     return xb.current_to_value(best);
@@ -211,7 +250,7 @@ double TiledTwoPhaseEvaluator::digitize_per_tile_adc(const State& st) {
   auto vmv_value = [&](const TiledCrossbar& xb, const ArrayState& a,
                        const xbar::Adc& adc) {
     double sum = 0.0;
-    for (const double v : a.vmv_partial) sum += adc.convert(v, rng_);
+    for (const double v : vmv_partials(a)) sum += adc.convert(v, rng_);
     return xb.current_to_value(sum);
   };
   const double vmv_m = vmv_value(*chip_m_, st.m, *adc_m_);
@@ -270,81 +309,76 @@ void TiledTwoPhaseEvaluator::apply_move(State& st,
                                         std::vector<std::uint32_t>& p_counts,
                                         std::vector<std::uint32_t>& q_counts,
                                         const core::TickMove& mv,
-                                        bool with_partials) {
-  const bool digital = chip_.readout == ChipReadout::kIdealDigital;
-  if (mv.player == core::TickMove::Player::kRow) {
-    // p_from loses a word line of the M array / a column group of Nᵀ.
-    const std::uint32_t pf = p_counts[mv.from];
-    const std::uint32_t pt = p_counts[mv.to];
-    if (pf == 0 || pt >= intervals_)
-      throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
-    const std::uint32_t* qc = q_counts.data();
-    if (digital) {
-      st.m.vmv_units +=
-          chip_m_->digital_vmv_row_delta(mv.from, pf, pf - 1, qc) +
-          chip_m_->digital_vmv_row_delta(mv.to, pt, pt + 1, qc);
-      st.nt.vmv_units +=
-          chip_nt_->digital_vmv_group_delta(mv.from, pf, pf - 1, qc) +
-          chip_nt_->digital_vmv_group_delta(mv.to, pt, pt + 1, qc);
-      chip_nt_->digital_mv_group_delta(mv.from, pf, pf - 1,
-                                       st.nt.mv_units.data());
-      chip_nt_->digital_mv_group_delta(mv.to, pt, pt + 1,
-                                       st.nt.mv_units.data());
-    } else {
-      double* cells_m = with_partials ? st.m.vmv_partial.data() : nullptr;
-      double* cells_nt = with_partials ? st.nt.vmv_partial.data() : nullptr;
-      st.m.vmv_total +=
-          chip_m_->vmv_row_delta(mv.from, pf, pf - 1, qc, cells_m) +
-          chip_m_->vmv_row_delta(mv.to, pt, pt + 1, qc, cells_m);
-      st.nt.vmv_total +=
-          chip_nt_->vmv_group_delta(mv.from, pf, pf - 1, qc, cells_nt) +
-          chip_nt_->vmv_group_delta(mv.to, pt, pt + 1, qc, cells_nt);
-      chip_nt_->mv_group_delta_total(mv.from, pf, pf - 1,
-                                     st.nt.mv_total.data());
-      chip_nt_->mv_group_delta_total(mv.to, pt, pt + 1, st.nt.mv_total.data());
-      if (with_partials) {
-        chip_nt_->mv_group_delta(mv.from, pf, pf - 1,
-                                 st.nt.mv_partial.data());
-        chip_nt_->mv_group_delta(mv.to, pt, pt + 1, st.nt.mv_partial.data());
-      }
+                                        bool partials) const {
+  // The moving player's actions are the word-line blocks of one array (M for
+  // p, Nᵀ for q) and the column groups of the other; the opponent's counts
+  // are the fixed activations of both delta reads.
+  const bool row_player = mv.player == core::TickMove::Player::kRow;
+  std::vector<std::uint32_t>& own = row_player ? p_counts : q_counts;
+  const std::uint32_t* other = (row_player ? q_counts : p_counts).data();
+  const TiledCrossbar& rows_xb = row_player ? *chip_m_ : *chip_nt_;
+  const TiledCrossbar& groups_xb = row_player ? *chip_nt_ : *chip_m_;
+  ArrayState& rows_st = row_player ? st.m : st.nt;
+  ArrayState& groups_st = row_player ? st.nt : st.m;
+
+  const std::uint32_t f = own[mv.from];
+  const std::uint32_t t = own[mv.to];
+  if (f == 0 || t >= intervals_)
+    throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
+  if (chip_.readout == ChipReadout::kIdealDigital) {
+    rows_st.vmv_units +=
+        rows_xb.digital_vmv_row_delta(mv.from, f, f - 1, other) +
+        rows_xb.digital_vmv_row_delta(mv.to, t, t + 1, other);
+    groups_st.vmv_units +=
+        groups_xb.digital_vmv_group_delta(mv.from, f, f - 1, other) +
+        groups_xb.digital_vmv_group_delta(mv.to, t, t + 1, other);
+    groups_xb.digital_mv_group_delta(mv.from, f, f - 1,
+                                     groups_st.mv_units.data());
+    groups_xb.digital_mv_group_delta(mv.to, t, t + 1,
+                                     groups_st.mv_units.data());
+  } else if (partials) {
+    if (!rows_st.vmv_partial.empty()) {
+      double* cells = rows_st.vmv_partial.data();
+      rows_xb.vmv_row_delta(mv.from, f, f - 1, other, cells);
+      rows_xb.vmv_row_delta(mv.to, t, t + 1, other, cells);
     }
-    p_counts[mv.from] = pf - 1;
-    p_counts[mv.to] = pt + 1;
+    if (!groups_st.vmv_partial.empty()) {
+      double* cells = groups_st.vmv_partial.data();
+      groups_xb.vmv_group_delta(mv.from, f, f - 1, other, cells);
+      groups_xb.vmv_group_delta(mv.to, t, t + 1, other, cells);
+    }
+    if (!groups_st.mv_partial.empty()) {
+      groups_xb.mv_group_delta(mv.from, f, f - 1, groups_st.mv_partial.data());
+      groups_xb.mv_group_delta(mv.to, t, t + 1, groups_st.mv_partial.data());
+    }
+  } else if (sole_m_ && sole_nt_) {
+    // 1×1 chip: the one tile's kernels directly — the same arithmetic as
+    // the routing kernels below, without their per-call lookups, which cost
+    // about a tenth of a small game's proposal.
+    const xbar::ProgrammedCrossbar& rows_tile =
+        row_player ? *sole_m_ : *sole_nt_;
+    const xbar::ProgrammedCrossbar& groups_tile =
+        row_player ? *sole_nt_ : *sole_m_;
+    rows_st.vmv_total += rows_tile.vmv_row_delta(mv.from, f, f - 1, other) +
+                         rows_tile.vmv_row_delta(mv.to, t, t + 1, other);
+    groups_st.vmv_total +=
+        groups_tile.vmv_group_delta(mv.from, f, f - 1, other) +
+        groups_tile.vmv_group_delta(mv.to, t, t + 1, other);
+    groups_tile.mv_group_delta(mv.from, f, f - 1, groups_st.mv_total.data());
+    groups_tile.mv_group_delta(mv.to, t, t + 1, groups_st.mv_total.data());
   } else {
-    const std::uint32_t qf = q_counts[mv.from];
-    const std::uint32_t qt = q_counts[mv.to];
-    if (qf == 0 || qt >= intervals_)
-      throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
-    const std::uint32_t* pc = p_counts.data();
-    if (digital) {
-      st.m.vmv_units +=
-          chip_m_->digital_vmv_group_delta(mv.from, qf, qf - 1, pc) +
-          chip_m_->digital_vmv_group_delta(mv.to, qt, qt + 1, pc);
-      st.nt.vmv_units +=
-          chip_nt_->digital_vmv_row_delta(mv.from, qf, qf - 1, pc) +
-          chip_nt_->digital_vmv_row_delta(mv.to, qt, qt + 1, pc);
-      chip_m_->digital_mv_group_delta(mv.from, qf, qf - 1,
-                                      st.m.mv_units.data());
-      chip_m_->digital_mv_group_delta(mv.to, qt, qt + 1, st.m.mv_units.data());
-    } else {
-      double* cells_m = with_partials ? st.m.vmv_partial.data() : nullptr;
-      double* cells_nt = with_partials ? st.nt.vmv_partial.data() : nullptr;
-      st.m.vmv_total +=
-          chip_m_->vmv_group_delta(mv.from, qf, qf - 1, pc, cells_m) +
-          chip_m_->vmv_group_delta(mv.to, qt, qt + 1, pc, cells_m);
-      st.nt.vmv_total +=
-          chip_nt_->vmv_row_delta(mv.from, qf, qf - 1, pc, cells_nt) +
-          chip_nt_->vmv_row_delta(mv.to, qt, qt + 1, pc, cells_nt);
-      chip_m_->mv_group_delta_total(mv.from, qf, qf - 1, st.m.mv_total.data());
-      chip_m_->mv_group_delta_total(mv.to, qt, qt + 1, st.m.mv_total.data());
-      if (with_partials) {
-        chip_m_->mv_group_delta(mv.from, qf, qf - 1, st.m.mv_partial.data());
-        chip_m_->mv_group_delta(mv.to, qt, qt + 1, st.m.mv_partial.data());
-      }
-    }
-    q_counts[mv.from] = qf - 1;
-    q_counts[mv.to] = qt + 1;
+    rows_st.vmv_total +=
+        rows_xb.vmv_row_delta(mv.from, f, f - 1, other, nullptr) +
+        rows_xb.vmv_row_delta(mv.to, t, t + 1, other, nullptr);
+    groups_st.vmv_total +=
+        groups_xb.vmv_group_delta(mv.from, f, f - 1, other, nullptr) +
+        groups_xb.vmv_group_delta(mv.to, t, t + 1, other, nullptr);
+    groups_xb.mv_group_delta_total(mv.from, f, f - 1,
+                                   groups_st.mv_total.data());
+    groups_xb.mv_group_delta_total(mv.to, t, t + 1, groups_st.mv_total.data());
   }
+  own[mv.from] = f - 1;
+  own[mv.to] = t + 1;
 }
 
 double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
@@ -357,9 +391,7 @@ double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
     throw std::logic_error(
         "TiledTwoPhaseEvaluator::propose unavailable in per-tile ADC mode");
   // Rejected proposals are discarded by re-deriving the scratch totals from
-  // the committed state — O(m+n) copies, no tile access. Per-tile partials
-  // are not copied: proposals score on the aggregated totals, and a commit
-  // replays the deltas into the committed partials.
+  // the committed state — O(m+n) copies, no tile access.
   if (chip_.readout == ChipReadout::kIdealDigital) {
     scratch_.m.mv_units = committed_.m.mv_units;
     scratch_.nt.mv_units = committed_.nt.mv_units;
@@ -373,10 +405,9 @@ double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
   }
   p_scratch_ = p_counts_;
   q_scratch_ = q_counts_;
-  pending_.assign(moves, moves + count);
+  if (has_partials_) pending_.assign(moves, moves + count);
   for (std::size_t i = 0; i < count; ++i)
-    apply_move(scratch_, p_scratch_, q_scratch_, moves[i],
-               /*with_partials=*/false);
+    apply_move(scratch_, p_scratch_, q_scratch_, moves[i], /*partials=*/false);
   proposal_outstanding_ = true;
   return digitize(scratch_);
 }
@@ -385,13 +416,27 @@ void TiledTwoPhaseEvaluator::commit() {
   if (!proposal_outstanding_)
     throw std::logic_error("TiledTwoPhaseEvaluator::commit without propose()");
   proposal_outstanding_ = false;
-  // Replay the accepted moves into the committed per-tile state: the deltas
-  // recompute bit-identically (same tables, same starting counts), so the
-  // committed totals land exactly on the values digitize() scored.
-  for (const core::TickMove& mv : pending_)
-    apply_move(committed_, p_counts_, q_counts_, mv, /*with_partials=*/true);
-  pending_.clear();
-  if (chip_.readout == ChipReadout::kIdealDigital) return;  // exact, no drift
+  // Adopt the proposal's counts and totals — exactly what digitize() scored.
+  // The swap leaves the pre-move counts in scratch, from where the replay
+  // walks the accepted moves into the per-tile partials.
+  p_counts_.swap(p_scratch_);
+  q_counts_.swap(q_scratch_);
+  if (chip_.readout == ChipReadout::kIdealDigital) {
+    committed_.m.mv_units.swap(scratch_.m.mv_units);
+    committed_.nt.mv_units.swap(scratch_.nt.mv_units);
+    committed_.m.vmv_units = scratch_.m.vmv_units;
+    committed_.nt.vmv_units = scratch_.nt.vmv_units;
+    return;  // exact integers: no partials, no drift
+  }
+  committed_.m.mv_total.swap(scratch_.m.mv_total);
+  committed_.nt.mv_total.swap(scratch_.nt.mv_total);
+  committed_.m.vmv_total = scratch_.m.vmv_total;
+  committed_.nt.vmv_total = scratch_.nt.vmv_total;
+  if (has_partials_) {
+    for (const core::TickMove& mv : pending_)
+      apply_move(committed_, p_scratch_, q_scratch_, mv, /*partials=*/true);
+    pending_.clear();
+  }
   if (++commits_since_refresh_ >= config_.refresh_interval) {
     commits_since_refresh_ = 0;
     ++refresh_count_;

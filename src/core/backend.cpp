@@ -28,6 +28,14 @@ void validate_request(const SolveRequest& request) {
         "invalid solve request: runs == 0 (need at least one sample unit)");
   if (request.game.num_actions1() == 0 || request.game.num_actions2() == 0)
     throw std::invalid_argument("invalid solve request: empty game");
+  const bool sa_backend = request.backend == "hardware-sa" ||
+                          request.backend == "hardware-sa-tiled" ||
+                          request.backend == "exact-sa" ||
+                          request.backend == "resilient";
+  if (sa_backend && request.sa.iterations == 0)
+    throw std::invalid_argument(
+        "invalid solve request: iterations == 0 (SA backend \"" +
+        request.backend + "\" needs at least one iteration)");
   if (!std::isfinite(request.deadline_s) || request.deadline_s < 0.0)
     throw std::invalid_argument(
         "invalid solve request: deadline_s must be finite and >= 0 "
@@ -278,15 +286,13 @@ class SaBackend final : public SolverBackend {
     std::shared_ptr<const EvaluatorFactory> factory;
     double modeled = 0.0;
     if (hardware_) {
+      // No fault plan: tile failures are a hardware-sa-tiled concept, so
+      // fault.tile_rate leaves this backend (and "resilient" over it) as is.
       auto hw = std::make_shared<HardwareEvaluatorFactory>(
           request.game, request.intervals, request.hardware,
           util::Rng(request.seed));
-      // A reserved-key probe instance supplies the mapped array geometry for
-      // the latency model without perturbing any run's stream.
-      const auto probe = hw->create_hardware(kProbeInstanceKey);
-      modeled = CNashTimingModel().run_time_s(
-                    probe->crossbar_m().mapping().geometry(),
-                    request.sa.iterations) *
+      modeled = CNashTimingModel().run_time_s(hw->geometry().m,
+                                              request.sa.iterations) *
                 static_cast<double>(request.runs);
       factory = std::move(hw);
     } else {

@@ -3,8 +3,9 @@
 // solver family the paper compares (Table 1 / Fig. 10), behind a string-keyed
 // registry:
 //
-//   "hardware-sa"       two-phase SA on the full FeFET crossbar/WTA/ADC model
-//   "hardware-sa-tiled" two-phase SA on the multi-tile chip model (chip/)
+//   "hardware-sa"       two-phase SA on the full FeFET crossbar/WTA/ADC model,
+//                       one chip tile per array (chip/tiled_two_phase)
+//   "hardware-sa-tiled" two-phase SA on a grid of fixed-size tiles (chip/)
 //   "exact-sa"          two-phase SA on the exact MAX-QUBO objective (ablation)
 //   "dwave-2000q6"      S-QUBO annealer proxy, 2000 Q6 flavour
 //   "dwave-advantage41" S-QUBO annealer proxy, Advantage 4.1 flavour
@@ -162,8 +163,9 @@ class SolverBackend {
 
 /// Submit-time request validation: throws std::invalid_argument with a clear
 /// message for requests that could only fail later on a worker thread
-/// (zero sample units, degenerate game payoffs). Backend-key resolution is
-/// validated separately by the registry lookup.
+/// (zero sample units, zero SA iterations on an SA backend, degenerate game
+/// payoffs). Backend-key resolution is validated separately by the registry
+/// lookup.
 void validate_request(const SolveRequest& request);
 
 /// ε-Nash verification of freshly produced samples: sets is_nash and regret

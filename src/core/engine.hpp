@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
 #include "core/sample.hpp"
 #include "core/two_phase.hpp"
@@ -66,24 +67,42 @@ class ExactEvaluatorFactory final : public EvaluatorFactory {
   std::shared_ptr<const ExactMaxQubo::Shared> shared_;
 };
 
-/// Full hardware model: each instance programs its own bi-crossbar / WTA /
-/// ADC stack with device variability sampled from the keyed split of
-/// `device_rng` — the Monte-Carlo-over-chips view of the architecture.
+/// Full hardware model: each instance programs its own chip — bi-crossbar
+/// tiles, WTA trees, ADCs (chip::TiledTwoPhaseEvaluator) — with device
+/// variability sampled from the keyed split of `device_rng`: the
+/// Monte-Carlo-over-chips view of the architecture. Both constructors throw
+/// std::invalid_argument when the game cannot be mapped (see
+/// chip::mapped_geometry).
 class HardwareEvaluatorFactory final : public EvaluatorFactory {
  public:
+  /// The "hardware-sa" chip: single_tile_chip(), one tile holding each
+  /// whole array — the single-array datapath of Fig. 6.
   HardwareEvaluatorFactory(game::BimatrixGame game, std::uint32_t intervals,
                            TwoPhaseConfig config, util::Rng device_rng);
+  /// A chosen tile grid ("hardware-sa-tiled"). `fault` (default disabled)
+  /// is re-keyed per instance — create(key) rolls tile failures under
+  /// fault.for_instance(key) — so the same run fails the same way on every
+  /// retry/worker, independently of the other runs.
+  HardwareEvaluatorFactory(game::BimatrixGame game, std::uint32_t intervals,
+                           TwoPhaseConfig config, chip::ChipConfig chip,
+                           util::Rng device_rng, util::FaultPlan fault = {});
   const game::BimatrixGame& game() const override { return game_; }
   std::uint32_t intervals() const { return intervals_; }
+  /// Mapped geometry of both arrays (the latency models' input).
+  const chip::ArrayGeometry& geometry() const { return geometry_; }
   std::unique_ptr<ObjectiveEvaluator> create(std::uint64_t key) const override;
-  /// Typed variant for crossbar / WTA / ADC introspection.
-  std::unique_ptr<TwoPhaseEvaluator> create_hardware(std::uint64_t key) const;
+  /// Typed variant for tile-grid / WTA / ADC introspection.
+  std::unique_ptr<chip::TiledTwoPhaseEvaluator> create_hardware(
+      std::uint64_t key) const;
 
  private:
   game::BimatrixGame game_;
   std::uint32_t intervals_;
   TwoPhaseConfig config_;
+  chip::ArrayGeometry geometry_;
+  chip::ChipConfig chip_;
   util::Rng device_rng_;
+  util::FaultPlan fault_;
 };
 
 struct EngineOptions {

@@ -2,7 +2,8 @@
 // CNashSolver — the public facade: program the bi-crossbar once for a game,
 // then launch any number of two-phase SA runs and collect strategy-pair
 // solutions. The evaluator can be the hardware model (default, full device /
-// WTA / ADC non-idealities) or the exact software objective (ablation).
+// WTA / ADC non-idealities on one chip tile per array, see
+// chip/tiled_two_phase) or the exact software objective (ablation).
 //
 // Since the SolverService refactor this is a facade over the service: runs
 // dispatch as run-granular units on the process-wide SolverService pool
@@ -18,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
 #include "core/backend.hpp"
 #include "core/engine.hpp"
@@ -57,7 +59,9 @@ class CNashSolver {
   ObjectiveEvaluator& evaluator() { return *probe_; }
 
   /// Hardware probe access (nullptr when use_hardware is false).
-  const TwoPhaseEvaluator* hardware() const { return probe_hardware_; }
+  const chip::TiledTwoPhaseEvaluator* hardware() const {
+    return probe_hardware_;
+  }
 
   /// One annealing run (continues the engine's run-index sequence).
   SolveSample solve_once();
@@ -81,7 +85,7 @@ class CNashSolver {
   CNashConfig config_;
   SolverEngine engine_;
   std::unique_ptr<ObjectiveEvaluator> probe_;
-  TwoPhaseEvaluator* probe_hardware_ = nullptr;  // borrowed view of probe_
+  chip::TiledTwoPhaseEvaluator* probe_hardware_ = nullptr;  // view of probe_
 };
 
 }  // namespace cnash::core

@@ -61,7 +61,7 @@ class CNashTimingModel {
   /// Tiled-chip analog path: tiles settle concurrently (short fixed-length
   /// lines), then the H-tree adder stage merges grid_cols partials per row
   /// (Phase 1) / the whole grid (Phase 2) before WTA + ADC. For large games
-  /// this beats the monolithic path, whose line settle grows with the full
+  /// this beats the single-array path, whose line settle grows with the full
   /// array dimensions.
   double tiled_analog_path_s(const TileGridTiming& grid) const;
   double tiled_iteration_s(const TileGridTiming& grid) const;

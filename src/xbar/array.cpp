@@ -244,20 +244,15 @@ double ProgrammedCrossbar::block_row_current(
 
 std::vector<double> ProgrammedCrossbar::read_mv(
     const std::vector<std::uint32_t>& groups_active) const {
-  std::vector<double> out(mapping_.geometry().n);
-  read_mv_into(groups_active, out.data());
-  return out;
-}
-
-void ProgrammedCrossbar::read_mv_into(
-    const std::vector<std::uint32_t>& groups_active, double* out) const {
   const auto& g = mapping_.geometry();
   if (groups_active.size() != g.m)
     throw std::invalid_argument("read_mv: activation size mismatch");
   for (std::size_t j = 0; j < g.m; ++j)
     if (groups_active[j] > g.intervals)
       throw std::invalid_argument("groups_active > I");
-  read_mv_into(groups_active.data(), out);
+  std::vector<double> out(g.n);
+  read_mv_into(groups_active.data(), out.data());
+  return out;
 }
 
 void ProgrammedCrossbar::read_mv_into(const std::uint32_t* groups_active,
@@ -310,16 +305,6 @@ void ProgrammedCrossbar::mv_group_delta(std::size_t j, std::uint32_t g_old,
   simd::add_diff(mv, cnew, cold, g.n);
 }
 
-double ProgrammedCrossbar::vmv_row_delta(
-    std::size_t i, std::uint32_t r_old, std::uint32_t r_new,
-    const std::vector<std::uint32_t>& groups_active) const {
-  const auto& g = mapping_.geometry();
-  if (i >= g.n || r_old > g.intervals || r_new > g.intervals ||
-      groups_active.size() != g.m)
-    throw std::out_of_range("vmv_row_delta");
-  return vmv_row_delta(i, r_old, r_new, groups_active.data());
-}
-
 double ProgrammedCrossbar::vmv_row_delta(std::size_t i, std::uint32_t r_old,
                                          std::uint32_t r_new,
                                          const std::uint32_t* groups_active)
@@ -335,16 +320,6 @@ double ProgrammedCrossbar::vmv_row_delta(std::size_t i, std::uint32_t r_old,
     delta += table[off_new + gr] - table[off_old + gr];
   }
   return delta;
-}
-
-double ProgrammedCrossbar::vmv_group_delta(
-    std::size_t j, std::uint32_t g_old, std::uint32_t g_new,
-    const std::vector<std::uint32_t>& rows_active) const {
-  const auto& g = mapping_.geometry();
-  if (j >= g.m || g_old > g.intervals || g_new > g.intervals ||
-      rows_active.size() != g.n)
-    throw std::out_of_range("vmv_group_delta");
-  return vmv_group_delta(j, g_old, g_new, rows_active.data());
 }
 
 double ProgrammedCrossbar::vmv_group_delta(std::size_t j, std::uint32_t g_old,

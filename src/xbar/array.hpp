@@ -73,13 +73,9 @@ class ProgrammedCrossbar {
       const std::vector<std::uint32_t>& groups_active) const;
 
   /// Allocation-free MV read: writes the n block-row currents (all word
-  /// lines active) into `out[0..n)`.
-  void read_mv_into(const std::vector<std::uint32_t>& groups_active,
-                    double* out) const;
-
-  /// Raw-pointer variant for callers holding activations in a larger buffer
-  /// (a chip tile slicing the global count vectors): `groups_active[0..m)`,
-  /// no size validation.
+  /// lines active) into `out[0..n)`. Raw pointers for callers holding
+  /// activations in a larger buffer (a chip tile slicing the global count
+  /// vectors): `groups_active[0..m)`, no size validation.
   void read_mv_into(const std::uint32_t* groups_active, double* out) const;
 
   /// Total array current: the VMV read pᵀMq (Phase 2 of Fig. 6).
@@ -103,21 +99,14 @@ class ProgrammedCrossbar {
                       double* mv) const;
 
   /// Phase-2 update: change of the total array current when block-row i goes
-  /// from r_old to r_new active word lines under `groups_active`. O(m).
-  double vmv_row_delta(std::size_t i, std::uint32_t r_old, std::uint32_t r_new,
-                       const std::vector<std::uint32_t>& groups_active) const;
-
-  /// Raw-pointer variant: `groups_active[0..m)`, no size validation.
+  /// from r_old to r_new active word lines under `groups_active[0..m)`. O(m),
+  /// no size validation.
   double vmv_row_delta(std::size_t i, std::uint32_t r_old, std::uint32_t r_new,
                        const std::uint32_t* groups_active) const;
 
   /// Phase-2 update: change of the total array current when block column j
-  /// goes from g_old to g_new active groups under `rows_active`. O(n).
-  double vmv_group_delta(std::size_t j, std::uint32_t g_old,
-                         std::uint32_t g_new,
-                         const std::vector<std::uint32_t>& rows_active) const;
-
-  /// Raw-pointer variant: `rows_active[0..n)`, no size validation.
+  /// goes from g_old to g_new active groups under `rows_active[0..n)`. O(n),
+  /// no size validation.
   double vmv_group_delta(std::size_t j, std::uint32_t g_old,
                          std::uint32_t g_new,
                          const std::uint32_t* rows_active) const;

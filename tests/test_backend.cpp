@@ -121,7 +121,7 @@ TEST(SolverBackend, HardwareSaReproducesTheSolverEngine) {
             samples_fingerprint(report.samples));
 }
 
-TEST(SolverBackend, TiledBackendByteReproducesMonolithicOnSingleTileGames) {
+TEST(SolverBackend, TiledBackendByteReproducesHardwareSaOnSingleTileGames) {
   // Acceptance contract: when the whole game fits one tile, the
   // "hardware-sa-tiled" report is byte-identical to "hardware-sa" (same
   // seeds, full non-idealities on) — samples, counts and objectives; only
@@ -165,6 +165,29 @@ TEST(SolverBackend, TiledBackendSolvesGamesBeyondTheMonolithicBenchRange) {
       SolverRegistry::global().at("hardware-sa-tiled").solve(req);
   EXPECT_EQ(report.samples.size(), 6u);
   EXPECT_GE(report.nash_count, 1u);
+}
+
+TEST(SolverBackend, ZeroIterationsRejectedAtSubmitForSaBackends) {
+  // An SA run needs at least one iteration; the request fails validation
+  // instead of a worker. Backends without an SA schedule ignore the field.
+  SolveRequest req(game::battle_of_sexes());
+  req.runs = 2;
+  req.sa.iterations = 0;
+  for (const char* backend :
+       {"hardware-sa", "hardware-sa-tiled", "exact-sa", "resilient"}) {
+    req.backend = backend;
+    EXPECT_THROW(validate_request(req), std::invalid_argument) << backend;
+    EXPECT_THROW(SolverRegistry::global().at(backend).solve(req),
+                 std::invalid_argument)
+        << backend;
+  }
+  for (const char* backend : {"dwave-2000q6", "dwave-advantage41",
+                              "lemke-howson", "support-enum"}) {
+    req.backend = backend;
+    EXPECT_NO_THROW(validate_request(req)) << backend;
+  }
+  req.backend = "lemke-howson";
+  EXPECT_GE(SolverRegistry::global().at("lemke-howson").solve(req).runs(), 1u);
 }
 
 TEST(SolverBackend, SamplesCarryEpsilonNashVerification) {

@@ -1,12 +1,12 @@
 // The multi-tile chip model (src/chip/): tile-partition geometry (partial
-// tiles, non-square games), tile reads vs the monolithic array, the tiled
-// two-phase evaluator's per-tile incremental state, and the two acceptance
-// contracts:
-//   * a 1×1 tile grid byte-reproduces the monolithic evaluator (identical
-//     RNG draw sequence, identical SA trajectories, full non-idealities on);
-//   * the noise-off digital readout of a 128×128-action integer game is
-//     bit-identical to core::ExactMaxQubo on every SA trajectory (power-of-
-//     two interval count makes both sides exact rational arithmetic).
+// tiles, non-square games), tile reads vs one whole-matrix array, the
+// single-tile chip "hardware-sa" runs, the tiled two-phase evaluator's
+// per-tile incremental state (multi-tile and 1×1 grids), and the acceptance
+// contract that the noise-off digital readout of a 128×128-action integer
+// game is bit-identical to core::ExactMaxQubo on every SA trajectory (power-
+// of-two interval count makes both sides exact rational arithmetic). The
+// byte-level reference for the 1×1 analog datapath is the golden corpus of
+// test_hardware_sa_corpus.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +18,8 @@
 #include "chip/tiled_crossbar.hpp"
 #include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
+#include "core/engine.hpp"
 #include "core/maxqubo.hpp"
-#include "core/two_phase.hpp"
 #include "game/games.hpp"
 #include "game/random_games.hpp"
 #include "util/rng.hpp"
@@ -221,68 +221,52 @@ TEST(TiledCrossbar, DeltaKernelsMatchFullReads) {
     EXPECT_NEAR(grid[k], fresh_grid[k], 1e-9 * (std::abs(fresh_grid[k]) + 1e-15));
 }
 
-// ---- 1×1 grid byte-reproduces the monolithic evaluator ----------------------
+// ---- The single-tile chip ---------------------------------------------------
 
-TEST(TiledTwoPhase, SingleTileByteReproducesMonolithicEvaluator) {
-  // Full non-idealities ON: device variability, WTA offsets + read noise,
-  // ADC quantisation + noise. The tiled evaluator mirrors the monolithic
-  // constructor and digitisation draw sequence exactly, so every evaluation
-  // is bit-identical when the whole game fits one tile.
-  const game::BimatrixGame g = game::bird_game();
-  const core::TwoPhaseConfig cfg;  // realistic defaults
-  core::TwoPhaseEvaluator mono(g, 12, cfg, util::Rng(0xA5A5));
-  TiledTwoPhaseEvaluator tiled(g, 12, cfg, chip_grid(1024, 4096),
-                               util::Rng(0xA5A5));
-  ASSERT_EQ(tiled.chip_m().partition().num_tiles(), 1u);
-
-  util::Rng prof_rng(31);
-  for (int t = 0; t < 50; ++t) {
-    game::QuantizedProfile prof{game::QuantizedStrategy::random(3, 12, prof_rng),
-                                game::QuantizedStrategy::random(3, 12,
-                                                                prof_rng)};
-    const double f_mono = mono.evaluate(prof);
-    const double f_tiled = tiled.evaluate(prof);
-    EXPECT_EQ(f_mono, f_tiled);  // bitwise
-  }
-}
-
-TEST(TiledTwoPhase, SingleTileSaTrajectoryIsByteIdentical) {
-  // The incremental propose/commit path (the one SA exercises) replays the
-  // monolithic trajectory move for move: same accepted count, same final /
-  // best profiles and bitwise-identical objectives.
-  const game::BimatrixGame g = game::battle_of_sexes();
-  const core::TwoPhaseConfig cfg;  // realistic defaults, incremental on
-  core::SaOptions sa;
-  sa.iterations = 4000;
-
-  core::TwoPhaseEvaluator mono(g, 12, cfg, util::Rng(77));
-  TiledTwoPhaseEvaluator tiled(g, 12, cfg, chip_grid(1024, 4096),
-                               util::Rng(77));
-  ASSERT_NE(tiled.incremental(), nullptr);
-
-  util::Rng sa_rng_a(0xF00D), sa_rng_b(0xF00D);
-  const core::SaRunResult ra = core::simulated_annealing(mono, 12, sa, sa_rng_a);
-  const core::SaRunResult rb = core::simulated_annealing(tiled, 12, sa,
-                                                         sa_rng_b);
-  EXPECT_EQ(ra.final_objective, rb.final_objective);
-  EXPECT_EQ(ra.best_objective, rb.best_objective);
-  EXPECT_EQ(ra.accepted, rb.accepted);
-  EXPECT_EQ(ra.final_profile.p.counts(), rb.final_profile.p.counts());
-  EXPECT_EQ(ra.final_profile.q.counts(), rb.final_profile.q.counts());
-  EXPECT_EQ(mono.refresh_count(), tiled.refresh_count());
+TEST(TiledTwoPhase, SingleTileChipHoldsEachArrayOnOneTile) {
+  // Square and non-square games, binary and MLC coding, scaled payoffs: the
+  // chip single_tile_chip() sizes is one tile per array, and exactly as tall
+  // as the taller array.
+  util::Rng game_rng(77);
+  const game::BimatrixGame wide(random_integer_matrix(3, 6, 7, game_rng),
+                                random_integer_matrix(3, 6, 2, game_rng),
+                                "wide");
+  core::TwoPhaseConfig binary, mlc, scaled;
+  mlc.levels_per_cell = 4;
+  scaled.value_scale = 2.0;
+  for (const game::BimatrixGame& g : {game::bird_game(), wide})
+    for (const core::TwoPhaseConfig& cfg : {binary, mlc, scaled})
+      for (const std::uint32_t intervals : {8u, 12u}) {
+        const ArrayGeometry geom = mapped_geometry(g, intervals, cfg);
+        const ChipConfig chip = single_tile_chip(geom);
+        EXPECT_EQ(chip.readout, ChipReadout::kAnalogHTree);
+        EXPECT_EQ(chip.tile_rows,
+                  std::max(g.num_actions1(), g.num_actions2()) * intervals);
+        const core::HardwareEvaluatorFactory factory(g, intervals, cfg,
+                                                     util::Rng(5));
+        const auto ev = factory.create_hardware(0);
+        EXPECT_EQ(ev->chip_config().tile_rows, chip.tile_rows);
+        EXPECT_EQ(ev->chip_config().tile_cols, chip.tile_cols);
+        EXPECT_EQ(ev->chip_m().partition().num_tiles(), 1u);
+        EXPECT_EQ(ev->chip_nt().partition().num_tiles(), 1u);
+        EXPECT_EQ(ev->chip_m().mapping().geometry().total_cols(),
+                  geom.m.total_cols());
+      }
 }
 
 // ---- Multi-tile evaluation fidelity -----------------------------------------
 
-TEST(TiledTwoPhase, MultiTileNoiseOffMatchesMonolithic) {
+TEST(TiledTwoPhase, MultiTileNoiseOffMatchesSingleTile) {
   // Sharding only changes fp summation order; after ADC snapping the
-  // digitised objective of the multi-tile chip equals the monolithic one.
+  // digitised objective of the multi-tile chip equals the single-tile one.
   util::Rng game_rng(2020);
   const game::BimatrixGame g(random_integer_matrix(10, 9, 4, game_rng),
                              random_integer_matrix(10, 9, 4, game_rng),
                              "multi-tile");
   const core::TwoPhaseConfig cfg = ideal_config();
-  core::TwoPhaseEvaluator mono(g, 8, cfg, util::Rng(4));
+  TiledTwoPhaseEvaluator mono(g, 8, cfg,
+                              single_tile_chip(mapped_geometry(g, 8, cfg)),
+                              util::Rng(4));
   TiledTwoPhaseEvaluator tiled(g, 8, cfg, chip_grid(16, 96), util::Rng(4));
   ASSERT_GT(tiled.chip_m().partition().num_tiles(), 4u);
 
@@ -325,7 +309,9 @@ TEST(TiledTwoPhase, MultiTileIncrementalMatchesFullReadPath) {
 TEST(TiledTwoPhase, CommittedPerTileStateTracksFullReads) {
   // After thousands of committed tick moves the per-tile committed partials
   // must still agree with a fresh tile-grid read of the final profile
-  // (drift bounded by the refresh mechanism).
+  // (drift bounded by the refresh mechanism) — on a multi-tile grid, where
+  // commits replay every accepted move into the partials, and on the 1×1
+  // grid, whose one tile's partials are the adopted totals.
   util::Rng game_rng(606);
   const game::BimatrixGame g(random_integer_matrix(8, 8, 4, game_rng),
                              random_integer_matrix(8, 8, 4, game_rng),
@@ -333,28 +319,32 @@ TEST(TiledTwoPhase, CommittedPerTileStateTracksFullReads) {
   core::TwoPhaseConfig cfg;  // realistic array, noise on
   core::SaOptions sa;
   sa.iterations = 5000;
-  TiledTwoPhaseEvaluator ev(g, 8, cfg, chip_grid(16, 96), util::Rng(1212));
-  util::Rng sa_rng(3434);
-  const core::SaRunResult res = core::simulated_annealing(ev, 8, sa, sa_rng);
+  for (const ChipConfig& chip :
+       {chip_grid(16, 96), single_tile_chip(mapped_geometry(g, 8, cfg))}) {
+    SCOPED_TRACE(chip.tile_rows);
+    TiledTwoPhaseEvaluator ev(g, 8, cfg, chip, util::Rng(1212));
+    util::Rng sa_rng(3434);
+    const core::SaRunResult res = core::simulated_annealing(ev, 8, sa, sa_rng);
 
-  const std::size_t n = g.num_actions1();
-  std::vector<double> fresh(ev.chip_m().partition().grid_cols() * n, 0.0);
-  ev.chip_m().read_mv_partials(res.final_profile.q.counts().data(),
-                               fresh.data());
-  const auto& committed = ev.committed_mv_partials_m();
-  ASSERT_EQ(committed.size(), fresh.size());
-  for (std::size_t k = 0; k < fresh.size(); ++k)
-    EXPECT_NEAR(committed[k], fresh[k], 1e-9 * std::abs(fresh[k]) + 1e-15);
+    const std::size_t n = g.num_actions1();
+    std::vector<double> fresh(ev.chip_m().partition().grid_cols() * n, 0.0);
+    ev.chip_m().read_mv_partials(res.final_profile.q.counts().data(),
+                                 fresh.data());
+    const auto& committed = ev.committed_mv_partials_m();
+    ASSERT_EQ(committed.size(), fresh.size());
+    for (std::size_t k = 0; k < fresh.size(); ++k)
+      EXPECT_NEAR(committed[k], fresh[k], 1e-9 * std::abs(fresh[k]) + 1e-15);
 
-  std::vector<double> fresh_vmv(ev.chip_m().partition().num_tiles(), 0.0);
-  ev.chip_m().read_vmv_partials(res.final_profile.p.counts().data(),
-                                res.final_profile.q.counts().data(),
-                                fresh_vmv.data());
-  const auto& committed_vmv = ev.committed_vmv_partials_m();
-  ASSERT_EQ(committed_vmv.size(), fresh_vmv.size());
-  for (std::size_t k = 0; k < fresh_vmv.size(); ++k)
-    EXPECT_NEAR(committed_vmv[k], fresh_vmv[k],
-                1e-9 * std::abs(fresh_vmv[k]) + 1e-15);
+    std::vector<double> fresh_vmv(ev.chip_m().partition().num_tiles(), 0.0);
+    ev.chip_m().read_vmv_partials(res.final_profile.p.counts().data(),
+                                  res.final_profile.q.counts().data(),
+                                  fresh_vmv.data());
+    const auto& committed_vmv = ev.committed_vmv_partials_m();
+    ASSERT_EQ(committed_vmv.size(), fresh_vmv.size());
+    for (std::size_t k = 0; k < fresh_vmv.size(); ++k)
+      EXPECT_NEAR(committed_vmv[k], fresh_vmv[k],
+                  1e-9 * std::abs(fresh_vmv[k]) + 1e-15);
+  }
 }
 
 // ---- Readout modes ----------------------------------------------------------

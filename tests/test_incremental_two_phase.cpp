@@ -1,7 +1,8 @@
 // Equivalence of the incremental two-phase fast path (crossbar delta reads +
 // propose/commit) against the full-read evaluation, plus the drift-refresh
-// regression. Two evaluators built from the same seed share identical device
-// sampling, so any disagreement is a fast-path bug, not hardware randomness.
+// regression, on the evaluator "hardware-sa" runs (one chip tile per array).
+// Two evaluators built from the same seed share identical device sampling,
+// so any disagreement is a fast-path bug, not hardware randomness.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,7 @@
 #include <vector>
 
 #include "core/anneal.hpp"
-#include "core/two_phase.hpp"
+#include "chip/tiled_two_phase.hpp"
 #include "game/games.hpp"
 #include "util/rng.hpp"
 
@@ -24,6 +25,16 @@ TwoPhaseConfig noiseless_config() {
   cfg.wta.read_noise_rel = 0.0;
   cfg.adc_noise_rel = 0.0;  // quantization stays on — it is part of the path
   return cfg;
+}
+
+using Hardware = chip::TiledTwoPhaseEvaluator;
+
+/// The single-array hardware evaluator, programmed from `rng` directly.
+Hardware hardware(const game::BimatrixGame& g, std::uint32_t intervals,
+                  const TwoPhaseConfig& cfg, util::Rng rng) {
+  return {g, intervals, cfg,
+          chip::single_tile_chip(chip::mapped_geometry(g, intervals, cfg)),
+          rng};
 }
 
 /// Draws a valid random tick move for one player of `prof`.
@@ -44,7 +55,7 @@ TickMove random_move(const game::QuantizedStrategy& s, TickMove::Player player,
 /// Random walk driving evaluator `inc` through propose/commit and `full`
 /// through whole-profile evaluate() on the same move sequence. Returns the
 /// largest |f_inc - f_full| seen.
-double walk_and_compare(TwoPhaseEvaluator& inc, TwoPhaseEvaluator& full,
+double walk_and_compare(Hardware& inc, Hardware& full,
                         game::BimatrixGame g, std::uint32_t intervals,
                         std::size_t steps, util::Rng& rng,
                         bool expect_exact) {
@@ -88,8 +99,8 @@ TEST(IncrementalTwoPhase, MatchesFullReadBitForBitWithoutNoise) {
   // With noise disabled no rng is consumed per read, so the two evaluators
   // stay aligned by construction; the post-ADC readouts must agree exactly.
   const auto g = game::bird_game();
-  TwoPhaseEvaluator inc(g, 12, noiseless_config(), util::Rng(401));
-  TwoPhaseEvaluator full(g, 12, noiseless_config(), util::Rng(401));
+  auto inc = hardware(g, 12, noiseless_config(), util::Rng(401));
+  auto full = hardware(g, 12, noiseless_config(), util::Rng(401));
   util::Rng rng(402);
   walk_and_compare(inc, full, g, 12, 2000, rng, /*expect_exact=*/true);
 }
@@ -98,8 +109,8 @@ TEST(IncrementalTwoPhase, MatchesFullReadOnAsymmetricGame) {
   // 8x8 modified PD at I=60: the largest paper instance, exercising deep
   // group counts and both-player proposals.
   const auto g = game::modified_prisoners_dilemma();
-  TwoPhaseEvaluator inc(g, 60, noiseless_config(), util::Rng(403));
-  TwoPhaseEvaluator full(g, 60, noiseless_config(), util::Rng(403));
+  auto inc = hardware(g, 60, noiseless_config(), util::Rng(403));
+  auto full = hardware(g, 60, noiseless_config(), util::Rng(403));
   util::Rng rng(404);
   walk_and_compare(inc, full, g, 60, 1000, rng, /*expect_exact=*/true);
 }
@@ -111,13 +122,13 @@ TEST(IncrementalTwoPhase, TracksFullReadWithinAdcLsbUnderNoise) {
   // readout (4 readouts enter f).
   const auto g = game::bird_game();
   TwoPhaseConfig cfg;  // realistic defaults
-  TwoPhaseEvaluator inc(g, 12, cfg, util::Rng(405));
-  TwoPhaseEvaluator full(g, 12, cfg, util::Rng(405));
+  auto inc = hardware(g, 12, cfg, util::Rng(405));
+  auto full = hardware(g, 12, cfg, util::Rng(405));
   util::Rng rng(406);
   const double worst =
       walk_and_compare(inc, full, g, 12, 1500, rng, /*expect_exact=*/false);
   const double lsb_payoff =
-      inc.crossbar_m().current_to_value(inc.adc().lsb_current());
+      inc.chip_m().current_to_value(inc.adc().lsb_current());
   EXPECT_LE(worst, 8.0 * lsb_payoff);
 }
 
@@ -125,8 +136,8 @@ TEST(IncrementalTwoPhase, RefreshReReadsAtConfiguredInterval) {
   const auto g = game::battle_of_sexes();
   TwoPhaseConfig cfg = noiseless_config();
   cfg.refresh_interval = 16;
-  TwoPhaseEvaluator inc(g, 12, cfg, util::Rng(407));
-  TwoPhaseEvaluator full(g, 12, noiseless_config(), util::Rng(407));
+  auto inc = hardware(g, 12, cfg, util::Rng(407));
+  auto full = hardware(g, 12, noiseless_config(), util::Rng(407));
   util::Rng rng(408);
   game::QuantizedProfile prof{
       game::QuantizedStrategy::random(2, 12, rng),
@@ -145,8 +156,8 @@ TEST(IncrementalTwoPhase, RefreshReReadsAtConfiguredInterval) {
 }
 
 TEST(IncrementalTwoPhase, ProposeBeforeResetThrows) {
-  TwoPhaseEvaluator hw(game::battle_of_sexes(), 12, noiseless_config(),
-                       util::Rng(409));
+  auto hw = hardware(game::battle_of_sexes(), 12, noiseless_config(),
+                     util::Rng(409));
   const TickMove mv{TickMove::Player::kRow, 0, 1};
   EXPECT_THROW(hw.propose(&mv, 1), std::logic_error);
   EXPECT_THROW(hw.commit(), std::logic_error);
@@ -156,8 +167,8 @@ TEST(IncrementalTwoPhase, IncrementalFlagGatesProtocol) {
   TwoPhaseConfig on = noiseless_config();
   TwoPhaseConfig off = noiseless_config();
   off.incremental = false;
-  TwoPhaseEvaluator hw_on(game::bird_game(), 12, on, util::Rng(410));
-  TwoPhaseEvaluator hw_off(game::bird_game(), 12, off, util::Rng(410));
+  auto hw_on = hardware(game::bird_game(), 12, on, util::Rng(410));
+  auto hw_off = hardware(game::bird_game(), 12, off, util::Rng(410));
   EXPECT_NE(hw_on.incremental(), nullptr);
   EXPECT_EQ(hw_off.incremental(), nullptr);
 }
@@ -170,8 +181,8 @@ TEST(IncrementalTwoPhase, SaTrajectoryIdenticalOnBothPaths) {
   TwoPhaseConfig on = noiseless_config();
   TwoPhaseConfig off = noiseless_config();
   off.incremental = false;
-  TwoPhaseEvaluator hw_on(g, 12, on, util::Rng(411));
-  TwoPhaseEvaluator hw_off(g, 12, off, util::Rng(411));
+  auto hw_on = hardware(g, 12, on, util::Rng(411));
+  auto hw_off = hardware(g, 12, off, util::Rng(411));
   SaOptions opts;
   opts.iterations = 3000;
   util::Rng rng_a(412), rng_b(412);

@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/two_phase.hpp"
+#include "chip/tiled_two_phase.hpp"
+#include "core/maxqubo.hpp"
 #include "game/games.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -101,17 +102,24 @@ TEST(Mlc, IntermediateLevelsCarryExtraSpread) {
   EXPECT_GT(mid_rel, 1.2 * full_rel);
 }
 
-TEST(Mlc, TwoPhaseEvaluatorWorksWithMlc) {
+TEST(Mlc, HardwareEvaluatorWorksWithMlc) {
+  // The evaluator "hardware-sa" runs: one chip tile per array.
+  auto hardware = [](const game::BimatrixGame& g,
+                     const core::TwoPhaseConfig& c,
+                     util::Rng rng) -> chip::TiledTwoPhaseEvaluator {
+    return {g, 12, c, chip::single_tile_chip(chip::mapped_geometry(g, 12, c)),
+            rng};
+  };
   core::TwoPhaseConfig cfg;
   cfg.levels_per_cell = 4;
   const auto g = game::bird_game();
-  core::TwoPhaseEvaluator hw(g, 12, cfg, util::Rng(9));
+  auto hw = hardware(g, cfg, util::Rng(9));
   core::ExactMaxQubo exact(g);
   // The MLC array must be strictly smaller than the binary one.
   core::TwoPhaseConfig bin_cfg;
-  core::TwoPhaseEvaluator hw_bin(g, 12, bin_cfg, util::Rng(10));
-  EXPECT_LT(hw.crossbar_m().mapping().geometry().total_cells(),
-            hw_bin.crossbar_m().mapping().geometry().total_cells());
+  auto hw_bin = hardware(g, bin_cfg, util::Rng(10));
+  EXPECT_LT(hw.chip_m().mapping().geometry().total_cells(),
+            hw_bin.chip_m().mapping().geometry().total_cells());
   util::Rng rng(11);
   util::RunningStats err;
   for (int t = 0; t < 100; ++t) {

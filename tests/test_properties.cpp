@@ -6,8 +6,8 @@
 #include <cmath>
 #include <tuple>
 
+#include "chip/tiled_two_phase.hpp"
 #include "core/maxqubo.hpp"
-#include "core/two_phase.hpp"
 #include "game/games.hpp"
 #include "game/random_games.hpp"
 #include "game/support_enum.hpp"
@@ -116,7 +116,10 @@ TEST_P(AdcPropertyTest, HardwareErrorShrinksWithResolution) {
   cfg.adc_noise_rel = 0.0;
   cfg.adc_bits = bits;
   const auto g = game::battle_of_sexes();
-  TwoPhaseEvaluator hw(g, 12, cfg, util::Rng(3000 + bits));
+  // The evaluator "hardware-sa" runs: one chip tile per array.
+  chip::TiledTwoPhaseEvaluator hw(
+      g, 12, cfg, chip::single_tile_chip(chip::mapped_geometry(g, 12, cfg)),
+      util::Rng(3000 + bits));
   ExactMaxQubo exact(g);
   util::Rng rng(4000 + bits);
   double worst = 0.0;

@@ -534,6 +534,30 @@ TEST(ServeEndToEnd, MalformedRequestsGetStructuredErrors) {
   EXPECT_TRUE(ok.at("ok").as_bool());
 }
 
+TEST(ServeEndToEnd, ZeroIterationsIsABadRequestForSaBackends) {
+  // Submit-time validation: an SA backend with zero iterations is the
+  // client's mistake, answered with a typed error before any worker (or a
+  // chip programming) is involved. Non-SA backends ignore the field.
+  ServerFixture fixture;
+  TestClient client;
+  client.connect_to(fixture.port());
+  int id = 20;
+  for (const char* backend :
+       {"exact-sa", "hardware-sa", "hardware-sa-tiled", "resilient"}) {
+    const util::Json j = client.request(
+        solve_line(game::battle_of_sexes(), ++id, backend, 4, 0));
+    ASSERT_FALSE(j.at("ok").as_bool()) << backend;
+    EXPECT_EQ(j.at("id").as_number(), static_cast<double>(id));
+    EXPECT_EQ(j.at("error").at("code").as_string(), "bad_request") << backend;
+    EXPECT_NE(j.at("error").at("message").as_string().find("iterations == 0"),
+              std::string::npos)
+        << j.at("error").at("message").as_string();
+  }
+  const util::Json lh = client.request(
+      solve_line(game::battle_of_sexes(), ++id, "lemke-howson", 1, 0));
+  EXPECT_TRUE(lh.at("ok").as_bool());
+}
+
 TEST(ServeEndToEnd, StatusReportsQueueDepthAndDrainFlag) {
   ServerFixture fixture;
   TestClient client;
