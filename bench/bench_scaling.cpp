@@ -188,10 +188,8 @@ int main(int argc, char** argv) {
     auto timed_run = [&](bool incremental, double* objective) {
       core::TwoPhaseConfig cfg;
       cfg.incremental = incremental;
-      chip::TiledTwoPhaseEvaluator hw_eval(
-          g, intervals, cfg,
-          chip::single_tile_chip(chip::mapped_geometry(g, intervals, cfg)),
-          util::Rng(808));
+      auto hw_eval =
+          chip::single_tile_evaluator(g, intervals, cfg, util::Rng(808));
       util::Rng sa_rng(909);
       const auto t0 = std::chrono::steady_clock::now();
       const auto res = core::simulated_annealing(hw_eval, intervals, sa, sa_rng);

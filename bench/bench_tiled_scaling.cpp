@@ -96,10 +96,8 @@ int main(int argc, char** argv) {
       return total / static_cast<double>(runs);
     };
 
-    chip::TiledTwoPhaseEvaluator mono(
-        g, intervals, cfg,
-        chip::single_tile_chip(chip::mapped_geometry(g, intervals, cfg)),
-        util::Rng(1000 + n));
+    auto mono =
+        chip::single_tile_evaluator(g, intervals, cfg, util::Rng(1000 + n));
     chip::TiledTwoPhaseEvaluator tiled(g, intervals, cfg, chip_cfg,
                                        util::Rng(1000 + n));
     double f_mono = 0.0, f_tiled = 0.0;

@@ -38,10 +38,7 @@ int main() {
   const std::uint32_t intervals = 12;
   core::TwoPhaseConfig cfg;
   // One chip tile per array: the single-array datapath of the paper.
-  chip::TiledTwoPhaseEvaluator hw(
-      g, intervals, cfg,
-      chip::single_tile_chip(chip::mapped_geometry(g, intervals, cfg)),
-      util::Rng(5));
+  auto hw = chip::single_tile_evaluator(g, intervals, cfg, util::Rng(5));
   const auto& geom = hw.chip_m().mapping().geometry();
   std::printf("game %s: payoff matrix %zux%zu, I=%u, t=%u cells/element\n",
               g.name().c_str(), geom.n, geom.m, geom.intervals,

@@ -18,6 +18,8 @@ class TiledSaBackend final : public core::SolverBackend {
            "hardware, chip, report_best)";
   }
 
+  bool needs_iterations() const override { return true; }
+
   std::unique_ptr<core::PreparedJob> prepare(
       const core::SolveRequest& request) const override {
     auto factory = std::make_shared<core::HardwareEvaluatorFactory>(

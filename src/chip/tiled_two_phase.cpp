@@ -50,6 +50,14 @@ ChipConfig single_tile_chip(const ArrayGeometry& geometry) {
   return chip;  // default readout: kAnalogHTree
 }
 
+TiledTwoPhaseEvaluator single_tile_evaluator(
+    const game::BimatrixGame& game, std::uint32_t intervals,
+    const core::TwoPhaseConfig& config, util::Rng rng) {
+  return TiledTwoPhaseEvaluator(
+      game, intervals, config,
+      single_tile_chip(mapped_geometry(game, intervals, config)), rng);
+}
+
 TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
                                                std::uint32_t intervals,
                                                const core::TwoPhaseConfig& config,
@@ -305,80 +313,83 @@ void TiledTwoPhaseEvaluator::reset(const game::QuantizedProfile& profile) {
   refresh_count_ = 0;
 }
 
-void TiledTwoPhaseEvaluator::apply_move(State& st,
-                                        std::vector<std::uint32_t>& p_counts,
-                                        std::vector<std::uint32_t>& q_counts,
-                                        const core::TickMove& mv,
-                                        bool partials) const {
-  // The moving player's actions are the word-line blocks of one array (M for
-  // p, Nᵀ for q) and the column groups of the other; the opponent's counts
-  // are the fixed activations of both delta reads.
-  const bool row_player = mv.player == core::TickMove::Player::kRow;
-  std::vector<std::uint32_t>& own = row_player ? p_counts : q_counts;
-  const std::uint32_t* other = (row_player ? q_counts : p_counts).data();
-  const TiledCrossbar& rows_xb = row_player ? *chip_m_ : *chip_nt_;
-  const TiledCrossbar& groups_xb = row_player ? *chip_nt_ : *chip_m_;
-  ArrayState& rows_st = row_player ? st.m : st.nt;
-  ArrayState& groups_st = row_player ? st.nt : st.m;
+void TiledTwoPhaseEvaluator::apply_moves(State& st,
+                                         const core::TickMove* moves,
+                                         std::size_t count, bool partials) {
+  for (std::size_t k = 0; k < count; ++k) {
+    const core::TickMove& mv = moves[k];
+    // The moving player's actions are the word-line blocks of one array (M
+    // for p, Nᵀ for q) and the column groups of the other; the opponent's
+    // counts are the fixed activations of both delta reads.
+    const bool row_player = mv.player == core::TickMove::Player::kRow;
+    std::vector<std::uint32_t>& own = row_player ? p_scratch_ : q_scratch_;
+    const std::uint32_t* other = (row_player ? q_scratch_ : p_scratch_).data();
+    const TiledCrossbar& rows_xb = row_player ? *chip_m_ : *chip_nt_;
+    const TiledCrossbar& groups_xb = row_player ? *chip_nt_ : *chip_m_;
+    ArrayState& rows_st = row_player ? st.m : st.nt;
+    ArrayState& groups_st = row_player ? st.nt : st.m;
 
-  const std::uint32_t f = own[mv.from];
-  const std::uint32_t t = own[mv.to];
-  if (f == 0 || t >= intervals_)
-    throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
-  if (chip_.readout == ChipReadout::kIdealDigital) {
-    rows_st.vmv_units +=
-        rows_xb.digital_vmv_row_delta(mv.from, f, f - 1, other) +
-        rows_xb.digital_vmv_row_delta(mv.to, t, t + 1, other);
-    groups_st.vmv_units +=
-        groups_xb.digital_vmv_group_delta(mv.from, f, f - 1, other) +
-        groups_xb.digital_vmv_group_delta(mv.to, t, t + 1, other);
-    groups_xb.digital_mv_group_delta(mv.from, f, f - 1,
-                                     groups_st.mv_units.data());
-    groups_xb.digital_mv_group_delta(mv.to, t, t + 1,
-                                     groups_st.mv_units.data());
-  } else if (partials) {
-    if (!rows_st.vmv_partial.empty()) {
-      double* cells = rows_st.vmv_partial.data();
-      rows_xb.vmv_row_delta(mv.from, f, f - 1, other, cells);
-      rows_xb.vmv_row_delta(mv.to, t, t + 1, other, cells);
+    const std::uint32_t f = own[mv.from];
+    const std::uint32_t t = own[mv.to];
+    if (f == 0 || t >= intervals_)
+      throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
+    if (chip_.readout == ChipReadout::kIdealDigital) {
+      rows_st.vmv_units +=
+          rows_xb.digital_vmv_row_delta(mv.from, f, f - 1, other) +
+          rows_xb.digital_vmv_row_delta(mv.to, t, t + 1, other);
+      groups_st.vmv_units +=
+          groups_xb.digital_vmv_group_delta(mv.from, f, f - 1, other) +
+          groups_xb.digital_vmv_group_delta(mv.to, t, t + 1, other);
+      groups_xb.digital_mv_group_delta(mv.from, f, f - 1,
+                                       groups_st.mv_units.data());
+      groups_xb.digital_mv_group_delta(mv.to, t, t + 1,
+                                       groups_st.mv_units.data());
+    } else if (partials) {
+      if (!rows_st.vmv_partial.empty()) {
+        double* cells = rows_st.vmv_partial.data();
+        rows_xb.vmv_row_delta(mv.from, f, f - 1, other, cells);
+        rows_xb.vmv_row_delta(mv.to, t, t + 1, other, cells);
+      }
+      if (!groups_st.vmv_partial.empty()) {
+        double* cells = groups_st.vmv_partial.data();
+        groups_xb.vmv_group_delta(mv.from, f, f - 1, other, cells);
+        groups_xb.vmv_group_delta(mv.to, t, t + 1, other, cells);
+      }
+      if (!groups_st.mv_partial.empty()) {
+        double* partial = groups_st.mv_partial.data();
+        groups_xb.mv_group_delta(mv.from, f, f - 1, partial);
+        groups_xb.mv_group_delta(mv.to, t, t + 1, partial);
+      }
+    } else if (sole_m_ && sole_nt_) {
+      // 1×1 chip: the one tile's kernels directly — the same arithmetic as
+      // the routing kernels below, without their per-call lookups, which cost
+      // 5-11 % of SA iterations/s on the paper's three games (measured on a
+      // 4-vCPU x86-64 VM against the same code without this branch).
+      const xbar::ProgrammedCrossbar& rows_tile =
+          row_player ? *sole_m_ : *sole_nt_;
+      const xbar::ProgrammedCrossbar& groups_tile =
+          row_player ? *sole_nt_ : *sole_m_;
+      rows_st.vmv_total += rows_tile.vmv_row_delta(mv.from, f, f - 1, other) +
+                           rows_tile.vmv_row_delta(mv.to, t, t + 1, other);
+      groups_st.vmv_total +=
+          groups_tile.vmv_group_delta(mv.from, f, f - 1, other) +
+          groups_tile.vmv_group_delta(mv.to, t, t + 1, other);
+      groups_tile.mv_group_delta(mv.from, f, f - 1, groups_st.mv_total.data());
+      groups_tile.mv_group_delta(mv.to, t, t + 1, groups_st.mv_total.data());
+    } else {
+      rows_st.vmv_total +=
+          rows_xb.vmv_row_delta(mv.from, f, f - 1, other, nullptr) +
+          rows_xb.vmv_row_delta(mv.to, t, t + 1, other, nullptr);
+      groups_st.vmv_total +=
+          groups_xb.vmv_group_delta(mv.from, f, f - 1, other, nullptr) +
+          groups_xb.vmv_group_delta(mv.to, t, t + 1, other, nullptr);
+      double* total = groups_st.mv_total.data();
+      groups_xb.mv_group_delta_total(mv.from, f, f - 1, total);
+      groups_xb.mv_group_delta_total(mv.to, t, t + 1, total);
     }
-    if (!groups_st.vmv_partial.empty()) {
-      double* cells = groups_st.vmv_partial.data();
-      groups_xb.vmv_group_delta(mv.from, f, f - 1, other, cells);
-      groups_xb.vmv_group_delta(mv.to, t, t + 1, other, cells);
-    }
-    if (!groups_st.mv_partial.empty()) {
-      groups_xb.mv_group_delta(mv.from, f, f - 1, groups_st.mv_partial.data());
-      groups_xb.mv_group_delta(mv.to, t, t + 1, groups_st.mv_partial.data());
-    }
-  } else if (sole_m_ && sole_nt_) {
-    // 1×1 chip: the one tile's kernels directly — the same arithmetic as
-    // the routing kernels below, without their per-call lookups, which cost
-    // about a tenth of a small game's proposal.
-    const xbar::ProgrammedCrossbar& rows_tile =
-        row_player ? *sole_m_ : *sole_nt_;
-    const xbar::ProgrammedCrossbar& groups_tile =
-        row_player ? *sole_nt_ : *sole_m_;
-    rows_st.vmv_total += rows_tile.vmv_row_delta(mv.from, f, f - 1, other) +
-                         rows_tile.vmv_row_delta(mv.to, t, t + 1, other);
-    groups_st.vmv_total +=
-        groups_tile.vmv_group_delta(mv.from, f, f - 1, other) +
-        groups_tile.vmv_group_delta(mv.to, t, t + 1, other);
-    groups_tile.mv_group_delta(mv.from, f, f - 1, groups_st.mv_total.data());
-    groups_tile.mv_group_delta(mv.to, t, t + 1, groups_st.mv_total.data());
-  } else {
-    rows_st.vmv_total +=
-        rows_xb.vmv_row_delta(mv.from, f, f - 1, other, nullptr) +
-        rows_xb.vmv_row_delta(mv.to, t, t + 1, other, nullptr);
-    groups_st.vmv_total +=
-        groups_xb.vmv_group_delta(mv.from, f, f - 1, other, nullptr) +
-        groups_xb.vmv_group_delta(mv.to, t, t + 1, other, nullptr);
-    groups_xb.mv_group_delta_total(mv.from, f, f - 1,
-                                   groups_st.mv_total.data());
-    groups_xb.mv_group_delta_total(mv.to, t, t + 1, groups_st.mv_total.data());
+    own[mv.from] = f - 1;
+    own[mv.to] = t + 1;
   }
-  own[mv.from] = f - 1;
-  own[mv.to] = t + 1;
 }
 
 double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
@@ -406,8 +417,7 @@ double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
   p_scratch_ = p_counts_;
   q_scratch_ = q_counts_;
   if (has_partials_) pending_.assign(moves, moves + count);
-  for (std::size_t i = 0; i < count; ++i)
-    apply_move(scratch_, p_scratch_, q_scratch_, moves[i], /*partials=*/false);
+  apply_moves(scratch_, moves, count, /*partials=*/false);
   proposal_outstanding_ = true;
   return digitize(scratch_);
 }
@@ -432,15 +442,15 @@ void TiledTwoPhaseEvaluator::commit() {
   committed_.nt.mv_total.swap(scratch_.nt.mv_total);
   committed_.m.vmv_total = scratch_.m.vmv_total;
   committed_.nt.vmv_total = scratch_.nt.vmv_total;
-  if (has_partials_) {
-    for (const core::TickMove& mv : pending_)
-      apply_move(committed_, p_scratch_, q_scratch_, mv, /*partials=*/true);
-    pending_.clear();
-  }
   if (++commits_since_refresh_ >= config_.refresh_interval) {
+    // The re-read rewrites the partials too; no replay needed.
     commits_since_refresh_ = 0;
     ++refresh_count_;
     full_read(committed_, p_counts_, q_counts_);
+  } else if (has_partials_) {
+    // Last, as one out-of-line call: a 1×1 commit stays a leaf.
+    apply_moves(committed_, pending_.data(), pending_.size(),
+                /*partials=*/true);
   }
 }
 

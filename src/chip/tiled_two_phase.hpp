@@ -167,11 +167,11 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   /// Full tile-grid read of one profile into `st` (partials + totals).
   void full_read(State& st, const std::vector<std::uint32_t>& p_counts,
                  const std::vector<std::uint32_t>& q_counts) const;
-  /// One tick move applied to the given counts and to the totals of `st`,
-  /// or, with `partials`, to its per-tile partial buffers (commit replay).
-  void apply_move(State& st, std::vector<std::uint32_t>& p_counts,
-                  std::vector<std::uint32_t>& q_counts,
-                  const core::TickMove& mv, bool partials) const;
+  /// Tick moves applied in order to the scratch counts (p_scratch_,
+  /// q_scratch_) and to the totals of `st`, or, with `partials`, to its
+  /// per-tile partial buffers (commit replay).
+  void apply_moves(State& st, const core::TickMove* moves, std::size_t count,
+                   bool partials);
   /// Aggregation + WTA + noise + ADC on `st`; updates last_ and returns f.
   double digitize(const State& st) {
     switch (chip_.readout) {
@@ -224,5 +224,12 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   std::size_t commits_since_refresh_ = 0;
   std::size_t refresh_count_ = 0;
 };
+
+/// The "hardware-sa" evaluator: `game` programmed onto
+/// single_tile_chip(mapped_geometry(game, intervals, config)) from `rng`,
+/// without tile faults.
+TiledTwoPhaseEvaluator single_tile_evaluator(
+    const game::BimatrixGame& game, std::uint32_t intervals,
+    const core::TwoPhaseConfig& config, util::Rng rng);
 
 }  // namespace cnash::chip

@@ -23,19 +23,20 @@ double SolveReport::nash_rate() const {
 }
 
 void validate_request(const SolveRequest& request) {
+  validate_request(request, SolverRegistry::global().at(request.backend));
+}
+
+void validate_request(const SolveRequest& request,
+                      const SolverBackend& backend) {
   if (request.runs == 0)
     throw std::invalid_argument(
         "invalid solve request: runs == 0 (need at least one sample unit)");
   if (request.game.num_actions1() == 0 || request.game.num_actions2() == 0)
     throw std::invalid_argument("invalid solve request: empty game");
-  const bool sa_backend = request.backend == "hardware-sa" ||
-                          request.backend == "hardware-sa-tiled" ||
-                          request.backend == "exact-sa" ||
-                          request.backend == "resilient";
-  if (sa_backend && request.sa.iterations == 0)
+  if (backend.needs_iterations() && request.sa.iterations == 0)
     throw std::invalid_argument(
         "invalid solve request: iterations == 0 (SA backend \"" +
-        request.backend + "\" needs at least one iteration)");
+        backend.name() + "\" needs at least one iteration)");
   if (!std::isfinite(request.deadline_s) || request.deadline_s < 0.0)
     throw std::invalid_argument(
         "invalid solve request: deadline_s must be finite and >= 0 "
@@ -136,7 +137,7 @@ SolveReport assemble_report(const PreparedJob& job,
 
 SolveReport SolverBackend::solve(const SolveRequest& request) const {
   const auto t0 = std::chrono::steady_clock::now();
-  validate_request(request);
+  validate_request(request, *this);
   const std::unique_ptr<PreparedJob> job = prepare(request);
   std::vector<std::vector<SolveSample>> slots(job->num_units());
   for (std::size_t u = 0; u < slots.size(); ++u) slots[u] = job->run_unit(u);
@@ -280,6 +281,8 @@ class SaBackend final : public SolverBackend {
                : "two-phase SA on the exact MAX-QUBO objective, ablation "
                  "(runs, seed, intervals, sa, report_best)";
   }
+
+  bool needs_iterations() const override { return true; }
 
   std::unique_ptr<PreparedJob> prepare(
       const SolveRequest& request) const override {

@@ -155,17 +155,23 @@ class SolverBackend {
   virtual std::string describe() const = 0;
   virtual std::unique_ptr<PreparedJob> prepare(
       const SolveRequest& request) const = 0;
+  /// True when the backend's units anneal for request.sa.iterations steps,
+  /// so validate_request rejects a zero count at submit time.
+  virtual bool needs_iterations() const { return false; }
   /// Synchronous convenience path: prepare + run every unit inline on the
   /// calling thread. Same report as a SolverService submission (modulo
   /// wall_clock_s).
   SolveReport solve(const SolveRequest& request) const;
 };
 
-/// Submit-time request validation: throws std::invalid_argument with a clear
-/// message for requests that could only fail later on a worker thread
-/// (zero sample units, zero SA iterations on an SA backend, degenerate game
-/// payoffs). Backend-key resolution is validated separately by the registry
-/// lookup.
+/// Submit-time request validation against the resolved `backend`: throws
+/// std::invalid_argument with a clear message for requests that could only
+/// fail later on a worker thread (zero sample units, zero SA iterations on a
+/// backend that needs_iterations(), degenerate game payoffs).
+void validate_request(const SolveRequest& request,
+                      const SolverBackend& backend);
+/// Same, resolving request.backend in SolverRegistry::global() (an unknown
+/// key throws std::invalid_argument listing the registered ones).
 void validate_request(const SolveRequest& request);
 
 /// ε-Nash verification of freshly produced samples: sets is_nash and regret

@@ -63,6 +63,8 @@ class ResilientBackend final : public SolverBackend {
            "on chip failure (primary, fault, + the wrapped backend's knobs)";
   }
 
+  bool needs_iterations() const override { return true; }
+
   std::unique_ptr<PreparedJob> prepare(
       const SolveRequest& request) const override {
     SolveRequest primary_req = request;

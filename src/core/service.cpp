@@ -117,7 +117,7 @@ void SolverService::submit_job(SolveRequest request, std::shared_ptr<Job> job) {
   std::exception_ptr invalid;
   try {
     if (!backend) registry_->at(request.backend);  // throws the known-key list
-    validate_request(request);
+    validate_request(request, *backend);
   } catch (...) {
     invalid = std::current_exception();
   }

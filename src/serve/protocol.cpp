@@ -162,17 +162,18 @@ core::SolveRequest solve_from_request(const util::Json& root,
     // failure after it consumed an admission slot and a solver job. A
     // session memoizes the resolution: a connection's usual backend skips
     // the registry map on every request after the first.
-    if (!session || !session->backend || session->backend_key != req.backend) {
+    const core::SolverBackend* backend = session ? session->backend : nullptr;
+    if (!backend || session->backend_key != req.backend) {
       const core::SolverRegistry& registry =
           (session && session->registry) ? *session->registry
                                          : core::SolverRegistry::global();
-      const core::SolverBackend* resolved = &registry.at(req.backend);
+      backend = &registry.at(req.backend);
       if (session) {
         session->backend_key = req.backend;
-        session->backend = resolved;
+        session->backend = backend;
       }
     }
-    core::validate_request(req);
+    core::validate_request(req, *backend);
   } catch (const ProtocolError&) {
     throw;
   } catch (const std::exception& e) {

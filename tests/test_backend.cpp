@@ -176,6 +176,7 @@ TEST(SolverBackend, ZeroIterationsRejectedAtSubmitForSaBackends) {
   for (const char* backend :
        {"hardware-sa", "hardware-sa-tiled", "exact-sa", "resilient"}) {
     req.backend = backend;
+    EXPECT_TRUE(SolverRegistry::global().at(backend).needs_iterations());
     EXPECT_THROW(validate_request(req), std::invalid_argument) << backend;
     EXPECT_THROW(SolverRegistry::global().at(backend).solve(req),
                  std::invalid_argument)
@@ -184,6 +185,7 @@ TEST(SolverBackend, ZeroIterationsRejectedAtSubmitForSaBackends) {
   for (const char* backend : {"dwave-2000q6", "dwave-advantage41",
                               "lemke-howson", "support-enum"}) {
     req.backend = backend;
+    EXPECT_FALSE(SolverRegistry::global().at(backend).needs_iterations());
     EXPECT_NO_THROW(validate_request(req)) << backend;
   }
   req.backend = "lemke-howson";

@@ -264,9 +264,7 @@ TEST(TiledTwoPhase, MultiTileNoiseOffMatchesSingleTile) {
                              random_integer_matrix(10, 9, 4, game_rng),
                              "multi-tile");
   const core::TwoPhaseConfig cfg = ideal_config();
-  TiledTwoPhaseEvaluator mono(g, 8, cfg,
-                              single_tile_chip(mapped_geometry(g, 8, cfg)),
-                              util::Rng(4));
+  auto mono = single_tile_evaluator(g, 8, cfg, util::Rng(4));
   TiledTwoPhaseEvaluator tiled(g, 8, cfg, chip_grid(16, 96), util::Rng(4));
   ASSERT_GT(tiled.chip_m().partition().num_tiles(), 4u);
 

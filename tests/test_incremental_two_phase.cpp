@@ -28,14 +28,7 @@ TwoPhaseConfig noiseless_config() {
 }
 
 using Hardware = chip::TiledTwoPhaseEvaluator;
-
-/// The single-array hardware evaluator, programmed from `rng` directly.
-Hardware hardware(const game::BimatrixGame& g, std::uint32_t intervals,
-                  const TwoPhaseConfig& cfg, util::Rng rng) {
-  return {g, intervals, cfg,
-          chip::single_tile_chip(chip::mapped_geometry(g, intervals, cfg)),
-          rng};
-}
+using chip::single_tile_evaluator;
 
 /// Draws a valid random tick move for one player of `prof`.
 TickMove random_move(const game::QuantizedStrategy& s, TickMove::Player player,
@@ -99,8 +92,8 @@ TEST(IncrementalTwoPhase, MatchesFullReadBitForBitWithoutNoise) {
   // With noise disabled no rng is consumed per read, so the two evaluators
   // stay aligned by construction; the post-ADC readouts must agree exactly.
   const auto g = game::bird_game();
-  auto inc = hardware(g, 12, noiseless_config(), util::Rng(401));
-  auto full = hardware(g, 12, noiseless_config(), util::Rng(401));
+  auto inc = single_tile_evaluator(g, 12, noiseless_config(), util::Rng(401));
+  auto full = single_tile_evaluator(g, 12, noiseless_config(), util::Rng(401));
   util::Rng rng(402);
   walk_and_compare(inc, full, g, 12, 2000, rng, /*expect_exact=*/true);
 }
@@ -109,8 +102,8 @@ TEST(IncrementalTwoPhase, MatchesFullReadOnAsymmetricGame) {
   // 8x8 modified PD at I=60: the largest paper instance, exercising deep
   // group counts and both-player proposals.
   const auto g = game::modified_prisoners_dilemma();
-  auto inc = hardware(g, 60, noiseless_config(), util::Rng(403));
-  auto full = hardware(g, 60, noiseless_config(), util::Rng(403));
+  auto inc = single_tile_evaluator(g, 60, noiseless_config(), util::Rng(403));
+  auto full = single_tile_evaluator(g, 60, noiseless_config(), util::Rng(403));
   util::Rng rng(404);
   walk_and_compare(inc, full, g, 60, 1000, rng, /*expect_exact=*/true);
 }
@@ -122,8 +115,8 @@ TEST(IncrementalTwoPhase, TracksFullReadWithinAdcLsbUnderNoise) {
   // readout (4 readouts enter f).
   const auto g = game::bird_game();
   TwoPhaseConfig cfg;  // realistic defaults
-  auto inc = hardware(g, 12, cfg, util::Rng(405));
-  auto full = hardware(g, 12, cfg, util::Rng(405));
+  auto inc = single_tile_evaluator(g, 12, cfg, util::Rng(405));
+  auto full = single_tile_evaluator(g, 12, cfg, util::Rng(405));
   util::Rng rng(406);
   const double worst =
       walk_and_compare(inc, full, g, 12, 1500, rng, /*expect_exact=*/false);
@@ -136,8 +129,8 @@ TEST(IncrementalTwoPhase, RefreshReReadsAtConfiguredInterval) {
   const auto g = game::battle_of_sexes();
   TwoPhaseConfig cfg = noiseless_config();
   cfg.refresh_interval = 16;
-  auto inc = hardware(g, 12, cfg, util::Rng(407));
-  auto full = hardware(g, 12, noiseless_config(), util::Rng(407));
+  auto inc = single_tile_evaluator(g, 12, cfg, util::Rng(407));
+  auto full = single_tile_evaluator(g, 12, noiseless_config(), util::Rng(407));
   util::Rng rng(408);
   game::QuantizedProfile prof{
       game::QuantizedStrategy::random(2, 12, rng),
@@ -156,8 +149,8 @@ TEST(IncrementalTwoPhase, RefreshReReadsAtConfiguredInterval) {
 }
 
 TEST(IncrementalTwoPhase, ProposeBeforeResetThrows) {
-  auto hw = hardware(game::battle_of_sexes(), 12, noiseless_config(),
-                     util::Rng(409));
+  auto hw = single_tile_evaluator(game::battle_of_sexes(), 12,
+                                  noiseless_config(), util::Rng(409));
   const TickMove mv{TickMove::Player::kRow, 0, 1};
   EXPECT_THROW(hw.propose(&mv, 1), std::logic_error);
   EXPECT_THROW(hw.commit(), std::logic_error);
@@ -167,8 +160,9 @@ TEST(IncrementalTwoPhase, IncrementalFlagGatesProtocol) {
   TwoPhaseConfig on = noiseless_config();
   TwoPhaseConfig off = noiseless_config();
   off.incremental = false;
-  auto hw_on = hardware(game::bird_game(), 12, on, util::Rng(410));
-  auto hw_off = hardware(game::bird_game(), 12, off, util::Rng(410));
+  auto hw_on = single_tile_evaluator(game::bird_game(), 12, on, util::Rng(410));
+  auto hw_off =
+      single_tile_evaluator(game::bird_game(), 12, off, util::Rng(410));
   EXPECT_NE(hw_on.incremental(), nullptr);
   EXPECT_EQ(hw_off.incremental(), nullptr);
 }
@@ -181,8 +175,8 @@ TEST(IncrementalTwoPhase, SaTrajectoryIdenticalOnBothPaths) {
   TwoPhaseConfig on = noiseless_config();
   TwoPhaseConfig off = noiseless_config();
   off.incremental = false;
-  auto hw_on = hardware(g, 12, on, util::Rng(411));
-  auto hw_off = hardware(g, 12, off, util::Rng(411));
+  auto hw_on = single_tile_evaluator(g, 12, on, util::Rng(411));
+  auto hw_off = single_tile_evaluator(g, 12, off, util::Rng(411));
   SaOptions opts;
   opts.iterations = 3000;
   util::Rng rng_a(412), rng_b(412);

@@ -104,20 +104,14 @@ TEST(Mlc, IntermediateLevelsCarryExtraSpread) {
 
 TEST(Mlc, HardwareEvaluatorWorksWithMlc) {
   // The evaluator "hardware-sa" runs: one chip tile per array.
-  auto hardware = [](const game::BimatrixGame& g,
-                     const core::TwoPhaseConfig& c,
-                     util::Rng rng) -> chip::TiledTwoPhaseEvaluator {
-    return {g, 12, c, chip::single_tile_chip(chip::mapped_geometry(g, 12, c)),
-            rng};
-  };
   core::TwoPhaseConfig cfg;
   cfg.levels_per_cell = 4;
   const auto g = game::bird_game();
-  auto hw = hardware(g, cfg, util::Rng(9));
+  auto hw = chip::single_tile_evaluator(g, 12, cfg, util::Rng(9));
   core::ExactMaxQubo exact(g);
   // The MLC array must be strictly smaller than the binary one.
   core::TwoPhaseConfig bin_cfg;
-  auto hw_bin = hardware(g, bin_cfg, util::Rng(10));
+  auto hw_bin = chip::single_tile_evaluator(g, 12, bin_cfg, util::Rng(10));
   EXPECT_LT(hw.chip_m().mapping().geometry().total_cells(),
             hw_bin.chip_m().mapping().geometry().total_cells());
   util::Rng rng(11);

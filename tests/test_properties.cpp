@@ -117,9 +117,7 @@ TEST_P(AdcPropertyTest, HardwareErrorShrinksWithResolution) {
   cfg.adc_bits = bits;
   const auto g = game::battle_of_sexes();
   // The evaluator "hardware-sa" runs: one chip tile per array.
-  chip::TiledTwoPhaseEvaluator hw(
-      g, 12, cfg, chip::single_tile_chip(chip::mapped_geometry(g, 12, cfg)),
-      util::Rng(3000 + bits));
+  auto hw = chip::single_tile_evaluator(g, 12, cfg, util::Rng(3000 + bits));
   ExactMaxQubo exact(g);
   util::Rng rng(4000 + bits);
   double worst = 0.0;

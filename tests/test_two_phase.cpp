@@ -14,6 +14,8 @@
 namespace cnash::core {
 namespace {
 
+using chip::single_tile_evaluator;
+
 TwoPhaseConfig ideal_config() {
   TwoPhaseConfig cfg;
   cfg.array.ideal = true;
@@ -24,16 +26,6 @@ TwoPhaseConfig ideal_config() {
   return cfg;
 }
 
-/// The single-array hardware evaluator, programmed from `rng` directly.
-chip::TiledTwoPhaseEvaluator hardware(const game::BimatrixGame& g,
-                                      std::uint32_t intervals,
-                                      const TwoPhaseConfig& cfg,
-                                      util::Rng rng) {
-  return {g, intervals, cfg,
-          chip::single_tile_chip(chip::mapped_geometry(g, intervals, cfg)),
-          rng};
-}
-
 game::QuantizedProfile profile_from(const la::Vector& p, const la::Vector& q,
                                     std::uint32_t intervals) {
   return {game::QuantizedStrategy::from_distribution(p, intervals),
@@ -42,7 +34,7 @@ game::QuantizedProfile profile_from(const la::Vector& p, const la::Vector& q,
 
 TEST(TwoPhase, IdealHardwareMatchesExactObjective) {
   const auto g = game::battle_of_sexes();
-  auto hw = hardware(g, 12, ideal_config(), util::Rng(61));
+  auto hw = single_tile_evaluator(g, 12, ideal_config(), util::Rng(61));
   ExactMaxQubo exact(g);
   util::Rng rng(62);
   for (int t = 0; t < 100; ++t) {
@@ -54,7 +46,7 @@ TEST(TwoPhase, IdealHardwareMatchesExactObjective) {
 
 TEST(TwoPhase, ZeroNearEquilibriaOnIdealHardware) {
   const auto g = game::battle_of_sexes();
-  auto hw = hardware(g, 12, ideal_config(), util::Rng(63));
+  auto hw = single_tile_evaluator(g, 12, ideal_config(), util::Rng(63));
   EXPECT_NEAR(hw.evaluate(profile_from({1, 0}, {1, 0}, 12)), 0.0, 0.02);
   EXPECT_NEAR(hw.evaluate(profile_from({2.0 / 3, 1.0 / 3},
                                        {1.0 / 3, 2.0 / 3}, 12)),
@@ -64,7 +56,7 @@ TEST(TwoPhase, ZeroNearEquilibriaOnIdealHardware) {
 TEST(TwoPhase, RealisticHardwareTracksExactWithinBudget) {
   const auto g = game::bird_game();
   TwoPhaseConfig cfg;  // realistic non-idealities
-  auto hw = hardware(g, 12, cfg, util::Rng(64));
+  auto hw = single_tile_evaluator(g, 12, cfg, util::Rng(64));
   ExactMaxQubo exact(g);
   util::Rng rng(65);
   util::RunningStats err;
@@ -81,7 +73,7 @@ TEST(TwoPhase, RealisticHardwareTracksExactWithinBudget) {
 
 TEST(TwoPhase, ReadoutComponentsExposed) {
   const auto g = game::battle_of_sexes();
-  auto hw = hardware(g, 12, ideal_config(), util::Rng(66));
+  auto hw = single_tile_evaluator(g, 12, ideal_config(), util::Rng(66));
   const auto prof = profile_from({1, 0}, {0, 1}, 12);
   const double f = hw.evaluate(prof);
   const auto& r = hw.last_readout();
@@ -92,7 +84,7 @@ TEST(TwoPhase, WorksWithNegativePayoffGames) {
   // Matching pennies has negative payoffs; the internal shift must make the
   // objective work unchanged.
   const auto g = game::matching_pennies();
-  auto hw = hardware(g, 8, ideal_config(), util::Rng(67));
+  auto hw = single_tile_evaluator(g, 8, ideal_config(), util::Rng(67));
   EXPECT_NEAR(hw.evaluate(profile_from({0.5, 0.5}, {0.5, 0.5}, 8)), 0.0, 0.02);
   EXPECT_GT(hw.evaluate(profile_from({1, 0}, {1, 0}, 8)), 0.5);
 }
@@ -104,15 +96,15 @@ TEST(TwoPhase, ValueScaleHandlesFractionalPayoffs) {
   const game::BimatrixGame g(m, n, "fractional");
   TwoPhaseConfig cfg = ideal_config();
   cfg.value_scale = 2.0;
-  auto hw = hardware(g, 8, cfg, util::Rng(68));
+  auto hw = single_tile_evaluator(g, 8, cfg, util::Rng(68));
   ExactMaxQubo exact(g);
   const auto prof = profile_from({0.5, 0.5}, {0.25, 0.75}, 8);
   EXPECT_NEAR(hw.evaluate(prof), exact.evaluate(prof), 0.02);
 }
 
 TEST(TwoPhase, ProfileShapeMismatchThrows) {
-  auto hw =
-      hardware(game::battle_of_sexes(), 12, ideal_config(), util::Rng(69));
+  auto hw = single_tile_evaluator(game::battle_of_sexes(), 12, ideal_config(),
+                                  util::Rng(69));
   game::QuantizedProfile wrong{game::QuantizedStrategy(3, 12),
                                game::QuantizedStrategy(2, 12)};
   EXPECT_THROW(hw.evaluate(wrong), std::invalid_argument);
@@ -124,7 +116,7 @@ TEST(TwoPhase, ProfileShapeMismatchThrows) {
 TEST(TwoPhase, NonIntegerPayoffsRejectedWithoutScale) {
   la::Matrix m{{0.3, 0}, {0, 1}};
   const game::BimatrixGame g(m, m, "bad");
-  EXPECT_THROW(hardware(g, 8, ideal_config(), util::Rng(70)),
+  EXPECT_THROW(single_tile_evaluator(g, 8, ideal_config(), util::Rng(70)),
                std::invalid_argument);
 }
 
