@@ -198,11 +198,14 @@ CanonicalRequest canonicalize(core::SolveRequest request) {
                           std::move(key)};
 }
 
+bool ReportMapping::identity_order() const {
+  return is_identity(row_perm) && is_identity(col_perm);
+}
+
 core::SolveReport map_to_original(const ReportMapping& mapping,
                                   core::SolveReport report) {
   report.game_name = mapping.original_name;
-  if (is_identity(mapping.row_perm) && is_identity(mapping.col_perm))
-    return report;
+  if (mapping.identity_order()) return report;
   for (core::SolveSample& s : report.samples) {
     s.p = unpermute(s.p, mapping.row_perm);
     s.q = unpermute(s.q, mapping.col_perm);

@@ -74,6 +74,10 @@ struct ReportMapping {
   std::vector<std::uint32_t> col_perm;
   /// The caller's game name, restored on mapped-back reports.
   std::string original_name;
+
+  /// Both permutations are the identity: the canonical report is already in
+  /// the caller's action order and differs from the response only in name.
+  bool identity_order() const;
 };
 
 /// A solve request rebased onto the canonical action order of its game.

@@ -1,7 +1,10 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/report_json.hpp"
 #include "game/parse.hpp"
@@ -311,6 +314,95 @@ void render_solve_ok_body(std::string& body, const util::Json& id, bool cached,
   body += cached ? ",\"cached\":true,\"report\":"
                  : ",\"cached\":false,\"report\":";
   core::append_report_json(body, report);
+  body += '}';
+}
+
+namespace {
+
+/// Where the report's "game" string token sits: [first, second) spans it,
+/// quotes included. The writer emits `"game":` right after the backend
+/// string; inside a JSON string every '"' is escaped, so the first
+/// `,"game":"` is the field itself and its value ends at the next unescaped
+/// quote.
+std::pair<std::size_t, std::size_t> game_slot(std::string_view report_json) {
+  constexpr std::string_view kGameField = ",\"game\":\"";
+  const std::size_t field = report_json.find(kGameField);
+  if (field == std::string_view::npos)
+    throw std::invalid_argument("report JSON has no \"game\" field");
+  const std::size_t begin = field + kGameField.size() - 1;  // the '"'
+  std::size_t end = begin + 1;
+  while (end < report_json.size() && report_json[end] != '"')
+    end += report_json[end] == '\\' ? 2 : 1;
+  if (end >= report_json.size())
+    throw std::invalid_argument("report JSON \"game\" string is unterminated");
+  return {begin, end + 1};
+}
+
+/// Appends the strategy array text `elements` (numbers joined by ',') with
+/// the element at canonical index i moved to caller index perm[i], as
+/// map_to_original moves the values.
+void append_permuted(std::string& body, std::string_view elements,
+                     const std::vector<std::uint32_t>& perm,
+                     std::vector<std::string_view>& moved) {
+  moved.assign(perm.size(), {});
+  std::size_t i = 0;
+  for (std::size_t at = 0;; ++i) {
+    if (i >= perm.size() || perm[i] >= moved.size())
+      throw std::invalid_argument(
+          "report JSON strategy array does not match the action count");
+    const std::size_t comma = elements.find(',', at);
+    moved[perm[i]] = elements.substr(at, comma - at);
+    if (comma == std::string_view::npos) break;
+    at = comma + 1;
+  }
+  if (i + 1 != perm.size())
+    throw std::invalid_argument(
+        "report JSON strategy array does not match the action count");
+  for (std::size_t k = 0; k < moved.size(); ++k) {
+    if (k) body += ',';
+    body.append(moved[k]);
+  }
+}
+
+}  // namespace
+
+void render_solve_ok_spliced(std::string& body, const util::Json& id,
+                             bool cached, std::string_view report_json,
+                             const ReportMapping& mapping) {
+  const auto [name_begin, name_end] = game_slot(report_json);
+  body.assign("{\"ok\":true,\"id\":");
+  id.dump_append(body);
+  body += cached ? ",\"cached\":true,\"report\":"
+                 : ",\"cached\":false,\"report\":";
+  body.append(report_json.substr(0, name_begin));
+  util::append_json_string(body, mapping.original_name);
+  std::size_t copied = name_end;  // report_json[0, copied) is done
+  if (!mapping.identity_order()) {
+    // Past the game name the writer's layout has no strings, so every '['
+    // opens an array: "samples", or a sample's or its profile's p / q — the
+    // strategy arrays, the only bytes a relabelling moves.
+    std::vector<std::string_view> moved;
+    for (std::size_t open = report_json.find('[', copied);
+         open != std::string_view::npos;
+         open = report_json.find('[', open + 1)) {
+      if (open < 4) continue;
+      const std::string_view key = report_json.substr(open - 4, 4);
+      const std::vector<std::uint32_t>* perm =
+          key == "\"p\":"   ? &mapping.row_perm
+          : key == "\"q\":" ? &mapping.col_perm
+                            : nullptr;
+      if (!perm) continue;
+      const std::size_t close = report_json.find(']', open);
+      if (close == std::string_view::npos)
+        throw std::invalid_argument("report JSON array is unterminated");
+      body.append(report_json.substr(copied, open + 1 - copied));
+      append_permuted(body, report_json.substr(open + 1, close - open - 1),
+                      *perm, moved);
+      copied = close;  // the ']' goes out with the next chunk
+      open = close;
+    }
+  }
+  body.append(report_json.substr(copied));
   body += '}';
 }
 

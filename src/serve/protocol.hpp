@@ -48,6 +48,7 @@
 
 #include "core/backend.hpp"
 #include "core/service.hpp"
+#include "serve/canonical.hpp"
 #include "util/json.hpp"
 
 namespace cnash::serve {
@@ -181,6 +182,18 @@ WireRequest parse_frame_request(unsigned char type, const std::string& payload,
 /// by core::append_report_json with no document tree.
 void render_solve_ok_body(std::string& body, const util::Json& id, bool cached,
                           const core::SolveReport& report);
+/// render_solve_ok_body(body, id, cached, map_to_original(mapping, report))
+/// for the canonical report that core::append_report_json already rendered
+/// as `report_json`, made from those bytes without decoding them: the
+/// envelope is written around them, the caller's name (JSON-escaped) goes
+/// into the "game" slot and, unless the mapping is the identity, the number
+/// tokens of every p / q / profile array are moved to the caller's action
+/// order (a number's text depends only on its value, so moving tokens is
+/// rendering the moved values). Throws std::invalid_argument on bytes that
+/// are not a report in the writer's layout.
+void render_solve_ok_spliced(std::string& body, const util::Json& id,
+                             bool cached, std::string_view report_json,
+                             const ReportMapping& mapping);
 /// Interim anytime frame: {"ok":true,"id":...,"progress":{units_total,
 /// units_completed, nash_count, valid_count, best_objective, elapsed_s}}.
 /// best_objective is null until the first valid sample.

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/report_json.hpp"
 #include "simd/simd.hpp"
 #include "util/build_info.hpp"
 
@@ -117,8 +118,9 @@ struct NashServer::Delivery {
   Kind kind = kNewConn;
   std::uint64_t conn_id = 0;
   int fd = -1;  // kNewConn
-  // kFinal: the canonical report (shared with the cache when stored).
-  std::shared_ptr<const core::SolveReport> report;
+  // kFinal: the canonical report's bytes (shared with the cache when stored)
+  // and the waiter's mapping onto them.
+  ReportBytes report_json;
   ReportMapping mapping;
   // kError
   std::string code;
@@ -177,7 +179,8 @@ struct NashServer::Loop {
     if (want == conn.want_write) return;
     conn.want_write = want;
     epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0);
+    ev.events = EPOLLIN;
+    if (want) ev.events |= EPOLLOUT;
     ev.data.u64 = conn.id;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   }
@@ -204,14 +207,14 @@ NashServer::NashServer(ServeOptions options)
       // initialized) before service_, and init_telemetry() below registers
       // the same instruments the options point at.
       service_(service_options()) {
+  init_telemetry();
   if (!options_.store_dir.empty()) {
     store::StoreOptions store_options;
     store_options.byte_budget = options_.store_budget_bytes;
     store_ = std::make_unique<store::SolutionStore>(options_.store_dir,
                                                     store_options);
-    cache_.attach_store(store_.get());
+    cache_.attach_store(store_.get(), store_get_, store_put_);
   }
-  init_telemetry();
 }
 
 core::ServiceOptions NashServer::service_options() {
@@ -239,6 +242,9 @@ void NashServer::init_telemetry() {
   stage_flush_ = &registry_.histogram("cnash_stage_flush_seconds");
   stage_request_ = &registry_.histogram("cnash_request_handle_seconds");
   solve_wall_ = &registry_.histogram("cnash_solve_wall_seconds");
+  store_get_ = &registry_.histogram("cnash_store_get_seconds");
+  store_put_ = &registry_.histogram("cnash_store_put_seconds");
+  store_put_failures_ = &registry_.counter("cnash_store_put_failures_total");
   re_swap_proposals_ = &registry_.counter("cnash_re_swap_proposals_total");
   re_swap_accepts_ = &registry_.counter("cnash_re_swap_accepts_total");
   fallback_samples_ = &registry_.counter("cnash_fallback_samples_total");
@@ -558,8 +564,8 @@ void NashServer::Loop::process_inbox() {
         {
           Stage stage(server->trace_, "render", d.trace_id,
                       server->stage_render_);
-          render_solve_ok_body(conn.session.body, d.id, /*cached=*/false,
-                               map_to_original(d.mapping, *d.report));
+          render_solve_ok_spliced(conn.session.body, d.id, /*cached=*/false,
+                                  *d.report_json, d.mapping);
         }
         Stage stage(server->trace_, "flush", d.trace_id, server->stage_flush_);
         send_body(conn, kFrameFinal, /*is_error=*/false);
@@ -912,81 +918,115 @@ void NashServer::handle_solve(Loop& loop, Connection& conn,
   // Everything the loops share sits behind the gate: cache, coalescing
   // registry and admission. The verdict is computed under the lock; the
   // response (and the submit) happens after it is released — rendering a
-  // report or running the solver under the gate would serialise the loops.
+  // report, reading the store or running the solver under the gate would
+  // serialise the loops.
   enum class Outcome { kHit, kCoalesced, kShed, kSubmit };
   Outcome outcome;
-  std::shared_ptr<const core::SolveReport> hit;
+  ReportBytes hit;
   std::string shed_message;
   double shed_retry = 0.0;
   InFlight* entry = nullptr;
   bool want_progress = request.progress;
+  auto note_hit = [&] {
+    counters_.solves_ok.fetch_add(1, std::memory_order_relaxed);
+    counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    return Outcome::kHit;
+  };
+  // Layer 1b (gate held): coalesce onto an identical in-flight solve — the
+  // duplicate costs a waiter slot, not a solver job. Waiters hold a response
+  // slot and buffered output, so they still count against the connection's
+  // in-flight cap (only the global watermark does not).
+  auto coalesce = [&] {
+    for (auto& pending : pending_) {
+      if (!pending->store_in_cache || !(pending->key == canonical.key))
+        continue;
+      if (admission_.admit(/*global_in_flight=*/0, conn.inflight) !=
+          AdmissionController::Verdict::kAdmit) {
+        shed_message = "connection in-flight cap reached";
+        shed_retry = admission_.retry_after_s(pending_.size());
+        return Outcome::kShed;
+      }
+      admission_.note_coalesced();
+      counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
+      conn.inflight++;
+      pending->waiters.push_back({&loop, conn.id, request.id,
+                                  std::move(canonical.mapping),
+                                  request.progress, trace_id});
+      return Outcome::kCoalesced;
+    }
+    return Outcome::kSubmit;
+  };
+  // Layers 2 and 3 (gate held): admission control, then a new job for the
+  // solver pool (submitted below, outside the gate).
+  auto admit = [&] {
+    Stage stage(trace_, "admit", trace_id, stage_admit_);
+    const AdmissionController::Verdict verdict =
+        admission_.admit(pending_.size(), conn.inflight);
+    if (verdict != AdmissionController::Verdict::kAdmit) {
+      shed_message = verdict == AdmissionController::Verdict::kShedQueueFull
+                         ? "solve queue is at its watermark"
+                         : "connection in-flight cap reached";
+      shed_retry = admission_.retry_after_s(pending_.size());
+      return Outcome::kShed;
+    }
+    auto owned = std::make_unique<InFlight>();
+    entry = owned.get();
+    entry->key = std::move(canonical.key);
+    entry->store_in_cache = !request.no_cache;
+    entry->waiters.push_back({&loop, conn.id, request.id,
+                              std::move(canonical.mapping), request.progress,
+                              trace_id});
+    pending_.push_back(std::move(owned));
+    conn.inflight++;
+    counters_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
+    return Outcome::kSubmit;
+  };
+
+  // Layer 1: the content-addressed cache. Replay is deterministic — the
+  // stored canonical report (modeled timing included) is mapped back to the
+  // caller's action order; for an identical request that mapping is the
+  // identity and the response is byte-identical to the first one. A RAM miss
+  // that nothing in flight will answer is looked up in the tier-2 store with
+  // the gate released (the store has its own mutex), so disk reads never
+  // block the other loops; the gate is then re-taken to promote a disk hit,
+  // or to re-check RAM and the in-flight registry before admitting a solve.
+  //
+  // The "cache" stage times the whole lookup: the RAM tier and, on a miss,
+  // the store read and the promotion.
+  std::optional<Stage> cache_stage;
+  bool read_store = false;
   {
     std::lock_guard<std::mutex> lock(gate_);
     outcome = Outcome::kSubmit;
     if (!request.no_cache) {
-      // Layer 1: the content-addressed cache. Replay is deterministic — the
-      // stored canonical report (modeled timing included) is mapped back to
-      // the caller's action order; for an identical request that mapping is
-      // the identity and the response is byte-identical to the first one.
-      {
-        Stage stage(trace_, "cache", trace_id, stage_cache_lookup_);
-        hit = cache_.lookup(canonical.key);
-      }
-      if (hit) {
-        counters_.solves_ok.fetch_add(1, std::memory_order_relaxed);
-        counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        outcome = Outcome::kHit;
-      } else {
-        // Layer 1b: coalesce onto an identical in-flight solve — the
-        // duplicate costs a waiter slot, not a solver job. Waiters hold a
-        // response slot and buffered output, so they still count against the
-        // connection's in-flight cap (only the global watermark does not).
-        for (auto& pending : pending_) {
-          if (!pending->store_in_cache || !(pending->key == canonical.key))
-            continue;
-          if (admission_.admit(/*global_in_flight=*/0, conn.inflight) !=
-              AdmissionController::Verdict::kAdmit) {
-            outcome = Outcome::kShed;
-            shed_message = "connection in-flight cap reached";
-            shed_retry = admission_.retry_after_s(pending_.size());
-          } else {
-            admission_.note_coalesced();
-            counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
-            conn.inflight++;
-            pending->waiters.push_back({&loop, conn.id, request.id,
-                                        std::move(canonical.mapping),
-                                        request.progress, trace_id});
-            outcome = Outcome::kCoalesced;
-          }
-          break;
-        }
-      }
+      cache_stage.emplace(trace_, "cache", trace_id, stage_cache_lookup_);
+      hit = cache_.lookup_ram(canonical.key);
+      outcome = hit ? note_hit() : coalesce();
+      read_store = outcome == Outcome::kSubmit && cache_.has_store();
+      if (!read_store) cache_stage.reset();
     }
-    if (outcome == Outcome::kSubmit) {
-      // Layer 2: admission control.
-      Stage stage(trace_, "admit", trace_id, stage_admit_);
-      const AdmissionController::Verdict verdict =
-          admission_.admit(pending_.size(), conn.inflight);
-      if (verdict != AdmissionController::Verdict::kAdmit) {
-        outcome = Outcome::kShed;
-        shed_message =
-            verdict == AdmissionController::Verdict::kShedQueueFull
-                ? "solve queue is at its watermark"
-                : "connection in-flight cap reached";
-        shed_retry = admission_.retry_after_s(pending_.size());
-      } else {
-        // Layer 3: the solver pool (submitted below, outside the gate).
-        auto owned = std::make_unique<InFlight>();
-        entry = owned.get();
-        entry->key = std::move(canonical.key);
-        entry->store_in_cache = !request.no_cache;
-        entry->waiters.push_back({&loop, conn.id, request.id,
-                                  std::move(canonical.mapping),
-                                  request.progress, trace_id});
-        pending_.push_back(std::move(owned));
-        conn.inflight++;
-        counters_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
-      }
+    if (outcome == Outcome::kSubmit && !read_store) outcome = admit();
+  }
+  if (read_store) {
+    std::optional<SolutionCache::Stored> stored;
+    {
+      Stage stage(trace_, "store", trace_id, /*hist=*/nullptr);
+      stored = cache_.fetch_stored(canonical.key);
+    }
+    std::lock_guard<std::mutex> lock(gate_);
+    if (stored) {
+      cache_.insert_bytes(canonical.key, stored->report_json,
+                          stored->footprint);
+      hit = std::move(stored->report_json);
+    } else {
+      hit = cache_.peek(canonical.key);  // solved while the store was read
+    }
+    cache_stage.reset();
+    if (hit) {
+      outcome = note_hit();
+    } else {
+      outcome = coalesce();
+      if (outcome == Outcome::kSubmit) outcome = admit();
     }
   }
 
@@ -994,8 +1034,8 @@ void NashServer::handle_solve(Loop& loop, Connection& conn,
     case Outcome::kHit: {
       {
         Stage stage(trace_, "render", trace_id, stage_render_);
-        render_solve_ok_body(conn.session.body, request.id, /*cached=*/true,
-                             map_to_original(canonical.mapping, *hit));
+        render_solve_ok_spliced(conn.session.body, request.id, /*cached=*/true,
+                                *hit, canonical.mapping);
       }
       Stage stage(trace_, "flush", trace_id, stage_flush_);
       loop.send_body(conn, kFrameFinal, /*is_error=*/false);
@@ -1077,17 +1117,42 @@ void NashServer::complete_solve(InFlight* entry, core::SolveReport&& report,
       failure = e.what();
     }
   }
-  std::shared_ptr<const core::SolveReport> shared;
+  ReportBytes report_json;
   if (!error) {
-    shared = std::make_shared<const core::SolveReport>(std::move(report));
     // Solve-outcome instruments (relaxed atomics; no lock needed, and kept
     // off the gate on purpose — one bump per completed job, not per waiter).
-    solve_wall_->record(shared->wall_clock_s);
-    if (shared->re_swap_proposals)
-      re_swap_proposals_->add(shared->re_swap_proposals);
-    if (shared->re_swap_accepts) re_swap_accepts_->add(shared->re_swap_accepts);
-    if (shared->fallback_count) fallback_samples_->add(shared->fallback_count);
-    if (shared->degraded) degraded_reports_->add(1);
+    solve_wall_->record(report.wall_clock_s);
+    if (report.re_swap_proposals)
+      re_swap_proposals_->add(report.re_swap_proposals);
+    if (report.re_swap_accepts) re_swap_accepts_->add(report.re_swap_accepts);
+    if (report.fallback_count) fallback_samples_->add(report.fallback_count);
+    if (report.degraded) degraded_reports_->add(1);
+    // Rendered once, here on the solver thread: the cache entry, the store
+    // value and every waiter's response (render_solve_ok_spliced) are all
+    // made from these bytes.
+    auto bytes = std::make_shared<std::string>();
+    core::append_report_json(*bytes, report);
+    report_json = std::move(bytes);
+  }
+
+  // Degraded (deadline-truncated) and fallback-containing reports are
+  // deliberately never cached: they are request-circumstance artefacts, and
+  // a later identical request deserves the full-quality answer. The entry's
+  // key and cache flag were fixed before the job was submitted, so they are
+  // read here without the gate.
+  const bool store_in_cache = entry->store_in_cache;
+  const bool cacheable = !error && store_in_cache && !report.degraded &&
+                         report.fallback_count == 0;
+  std::size_t footprint = 0;
+  if (cacheable) {
+    footprint = report_footprint(report);
+    // The store write runs before the gate is taken, so disk I/O never
+    // blocks the loops. A failed write costs the tier-2 copy, not the answer.
+    try {
+      cache_.persist(entry->key, *report_json);
+    } catch (const std::exception&) {
+      store_put_failures_->add(1);
+    }
   }
 
   std::lock_guard<std::mutex> lock(gate_);
@@ -1095,19 +1160,13 @@ void NashServer::complete_solve(InFlight* entry, core::SolveReport&& report,
       pending_.begin(), pending_.end(),
       [entry](const std::unique_ptr<InFlight>& p) { return p.get() == entry; });
   std::vector<InFlight::Waiter> waiters = std::move(entry->waiters);
-  const bool store_in_cache = entry->store_in_cache;
   GameKey key = std::move(entry->key);
   pending_.erase(it);  // frees the entry; `entry` is dead past this line
 
-  if (!error && store_in_cache) {
-    // Degraded (deadline-truncated) and fallback-containing reports are
-    // deliberately never cached: they are request-circumstance artefacts,
-    // and a later identical request deserves the full-quality answer.
-    if (!shared->degraded && shared->fallback_count == 0)
-      cache_.insert(key, shared);
-    else
-      counters_.uncached_reports.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (cacheable)
+    cache_.insert_bytes(key, report_json, footprint);
+  else if (!error && store_in_cache)
+    counters_.uncached_reports.fetch_add(1, std::memory_order_relaxed);
 
   for (InFlight::Waiter& waiter : waiters) {
     Delivery d;
@@ -1121,7 +1180,7 @@ void NashServer::complete_solve(InFlight* entry, core::SolveReport&& report,
       if (service_draining) d.retry_after_s = admission_.options().retry_after_s;
     } else {
       d.kind = Delivery::kFinal;
-      d.report = shared;
+      d.report_json = report_json;
       d.mapping = std::move(waiter.mapping);
     }
     post(*waiter.loop, std::move(d));

@@ -20,9 +20,10 @@
 // instance, an eventfd, and its connections' buffers and parse sessions —
 // connection state is touched only by its owning loop thread. The loops share
 // exactly one mutex (the "gate") guarding the cache, the admission controller
-// and the in-flight solve registry; solves run on the SolverService pool and
-// complete through callbacks that post a delivery to the owning loop's inbox
-// and wake its eventfd — no blocking futures, no polling.
+// and the in-flight solve registry; tier-2 store reads and writes run with it
+// released (the store has its own mutex). Solves run on the SolverService
+// pool and complete through callbacks that post a delivery to the owning
+// loop's inbox and wake its eventfd — no blocking futures, no polling.
 //
 // Anytime serving: a solve with "progress":true streams interim best-so-far
 // progress frames (one per completed work unit) before its final frame; with
@@ -163,9 +164,11 @@ class NashServer {
   struct Delivery;
 
   /// One job on the solver pool plus every response waiting on it. Guarded by
-  /// gate_; the raw pointer is captured by the job's service callbacks (its
-  /// address is stable and outlives the job: the entry is only freed by
-  /// complete_solve, which runs exactly once).
+  /// gate_, except `key` and `store_in_cache`: they are fixed before the job
+  /// is submitted, so complete_solve reads them off the gate. The raw pointer
+  /// is captured by the job's service callbacks (its address is stable and
+  /// outlives the job: the entry is only freed by complete_solve, which runs
+  /// exactly once).
   struct InFlight {
     GameKey key;
     bool store_in_cache = true;
@@ -243,6 +246,9 @@ class NashServer {
   obs::Histogram* stage_flush_ = nullptr;
   obs::Histogram* stage_request_ = nullptr;
   obs::Histogram* solve_wall_ = nullptr;
+  obs::Histogram* store_get_ = nullptr;
+  obs::Histogram* store_put_ = nullptr;
+  obs::Counter* store_put_failures_ = nullptr;
   obs::Counter* re_swap_proposals_ = nullptr;
   obs::Counter* re_swap_accepts_ = nullptr;
   obs::Counter* fallback_samples_ = nullptr;

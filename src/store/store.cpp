@@ -243,42 +243,31 @@ bool SolutionStore::erase_live(std::uint64_t digest, std::string_view key,
   return false;
 }
 
-std::string SolutionStore::read_record_key(const IndexEntry& entry) {
+void SolutionStore::read_record_bytes(const IndexEntry& entry,
+                                      std::size_t from, std::string& out) {
   const int fd = fds_.at(entry.segment);
-  std::string key(entry.header.key_len, '\0');
   std::size_t done = 0;
-  const off_t base =
-      static_cast<off_t>(entry.offset + kRecordHeaderSize);
-  while (done < key.size()) {
-    const ssize_t got =
-        ::pread(fd, key.data() + done, key.size() - done,
-                base + static_cast<off_t>(done));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      sys_fail("pread key");
-    }
-    if (got == 0) throw StoreError("record key truncated under us");
-    done += static_cast<std::size_t>(got);
-  }
-  return key;
-}
-
-std::string SolutionStore::read_record_value(const IndexEntry& entry) {
-  const int fd = fds_.at(entry.segment);
-  std::string stored(entry.header.value_len, '\0');
-  std::size_t done = 0;
-  const off_t base = static_cast<off_t>(entry.offset + kRecordHeaderSize +
-                                        entry.header.key_len);
-  while (done < stored.size()) {
-    const ssize_t got = ::pread(fd, stored.data() + done, stored.size() - done,
+  const off_t base = static_cast<off_t>(entry.offset + from);
+  while (done < out.size()) {
+    const ssize_t got = ::pread(fd, out.data() + done, out.size() - done,
                                 base + static_cast<off_t>(done));
     if (got < 0) {
       if (errno == EINTR) continue;
-      sys_fail("pread value");
+      sys_fail("pread record");
     }
-    if (got == 0) throw StoreError("record value truncated under us");
+    if (got == 0) throw StoreError("record truncated under us");
     done += static_cast<std::size_t>(got);
   }
+}
+
+std::string SolutionStore::read_record_key(const IndexEntry& entry) {
+  std::string key(entry.header.key_len, '\0');
+  read_record_bytes(entry, kRecordHeaderSize, key);
+  return key;
+}
+
+std::string SolutionStore::decode_value(const IndexEntry& entry,
+                                        std::string stored) {
   if (entry.header.codec == kCodecStored) return stored;
   std::string raw;
   lz_codec().decompress(stored, entry.header.raw_len, raw);
@@ -294,9 +283,14 @@ std::optional<std::string> SolutionStore::get(std::uint64_t digest,
   if (bucket != index_.end()) {
     for (const IndexEntry& entry : bucket->second) {
       if (entry.header.key_len != key.size()) continue;
-      if (read_record_key(entry) != key) continue;
+      // Key and stored value are adjacent in the record: one read serves the
+      // key compare and the value.
+      std::string bytes(entry.header.key_len + entry.header.value_len, '\0');
+      read_record_bytes(entry, kRecordHeaderSize, bytes);
+      if (std::string_view(bytes).substr(0, key.size()) != key) continue;
+      bytes.erase(0, key.size());
       try {
-        std::string value = read_record_value(entry);
+        std::string value = decode_value(entry, std::move(bytes));
         stats_.hits++;
         return value;
       } catch (const CodecError&) {

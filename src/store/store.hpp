@@ -166,8 +166,12 @@ class SolutionStore {
   int create_segment(std::uint64_t id);
   void append_active(std::string_view bytes);
   void rotate_if_needed(std::size_t incoming);
+  /// Fills `out` (pre-sized) with the record's bytes from offset `from`.
+  void read_record_bytes(const IndexEntry& entry, std::size_t from,
+                         std::string& out);
   std::string read_record_key(const IndexEntry& entry);
-  std::string read_record_value(const IndexEntry& entry);  // decoded
+  /// The value from its stored (possibly compressed) bytes.
+  static std::string decode_value(const IndexEntry& entry, std::string stored);
   bool erase_live(std::uint64_t digest, std::string_view key,
                   IndexEntry* erased);
   void evict_until_within_budget();

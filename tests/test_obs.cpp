@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -411,6 +412,11 @@ TEST(ServeObservability, MetricsMethodReturnsEveryInstrumentFamily) {
   EXPECT_EQ(histograms.at("cnash_solve_wall_seconds").at("count").as_number(),
             1.0);
 
+  // No store attached: the store latency histograms exist, empty.
+  for (const char* name :
+       {"cnash_store_get_seconds", "cnash_store_put_seconds"})
+    EXPECT_EQ(histograms.at(name).at("count").as_number(), 0.0) << name;
+
   // Text exposition via the wire: same instruments, Prometheus shape.
   const util::Json text_response =
       roundtrip(client, "{\"method\":\"metrics\",\"format\":\"text\"}");
@@ -453,7 +459,50 @@ TEST(ServeObservability, ReplicaExchangeSwapRatesSurfaceInMetrics) {
       metrics.at("gauges").at("cnash_re_swap_accept_rate").as_number();
   EXPECT_GE(rate, 0.0);
   EXPECT_LE(rate, 1.0);
-  if (proposals > 0.0) EXPECT_EQ(rate, accepts / proposals);
+  if (proposals > 0.0) {
+    EXPECT_EQ(rate, accepts / proposals);
+  }
+}
+
+TEST(ServeObservability, StoreGetAndPutLatenciesAreCounted) {
+  std::string dir_template =
+      (std::filesystem::temp_directory_path() / "cnash_obs_store_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(dir_template.data()), nullptr);
+  const std::filesystem::path dir = dir_template;
+  {
+    ServeOptions options;
+    options.store_dir = dir.string();
+    options.cache_bytes = 1;  // no report fits RAM: every lookup reads disk
+    ObsServerFixture fixture(options);
+    LineClient client;
+    ASSERT_TRUE(client.connect_to("127.0.0.1", fixture.port()));
+
+    // Miss (one store get, then one put of the solved report), then a hit
+    // that only the store can answer (a second get).
+    const game::BimatrixGame g = game::prisoners_dilemma();
+    const util::Json cold = roundtrip(client, solve_line(g, 1));
+    ASSERT_TRUE(cold.at("ok").as_bool()) << cold.dump();
+    const util::Json warm = roundtrip(client, solve_line(g, 2));
+    ASSERT_TRUE(warm.at("cached").as_bool()) << warm.dump();
+
+    const util::Json metrics =
+        roundtrip(client, "{\"method\":\"metrics\"}").at("metrics");
+    const util::Json& histograms = metrics.at("histograms");
+    EXPECT_EQ(histograms.at("cnash_store_get_seconds").at("count").as_number(),
+              2.0);
+    EXPECT_EQ(histograms.at("cnash_store_put_seconds").at("count").as_number(),
+              1.0);
+    EXPECT_GT(histograms.at("cnash_store_get_seconds").at("sum").as_number(),
+              0.0);
+    EXPECT_EQ(metrics.at("counters").at("cnash_store_hits_total").as_number(),
+              1.0);
+    EXPECT_EQ(
+        metrics.at("counters").at("cnash_store_put_failures_total").as_number(),
+        0.0);
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(ServeObservability, StatusCarriesBuildAndDeploymentIdentity) {
@@ -509,9 +558,11 @@ TEST(ServeObservability, TracedRunUnderFourLoopsYieldsCompletePipelines) {
               m(r, c) = rng.uniform();
               n(r, c) = rng.uniform();
             }
-          const game::BimatrixGame g(
-              std::move(m), std::move(n),
-              "t" + std::to_string(t) + "g" + std::to_string(i));
+          std::string name = "t";
+          name += std::to_string(t);
+          name += 'g';
+          name += std::to_string(i);
+          const game::BimatrixGame g(std::move(m), std::move(n), name);
           const util::Json r =
               roundtrip(client, solve_line(g, t * 10 + i));
           ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();

@@ -15,11 +15,15 @@
 //     request_stop() drains gracefully.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -933,6 +937,406 @@ TEST(ServeFairness, PipelinedBurstIsBoundedPerWakeup) {
   fixture.stop();
   EXPECT_EQ(fixture.server().served_stats().lines, 8u);
   EXPECT_GE(fixture.server().served_stats().fair_deferrals, 1u);
+}
+
+// ---- byte charge ------------------------------------------------------------
+
+/// Solved reports whose sizes are fixed by their requests alone (sample
+/// counts and dimensions do not depend on timing): an SA report with
+/// quantized profiles, a named lemke-howson report without them, a
+/// replica-exchange report and a hardware-sa report.
+std::vector<std::shared_ptr<const core::SolveReport>> charge_reports() {
+  util::Rng rng(2024);
+  std::vector<std::shared_ptr<const core::SolveReport>> out;
+  auto add = [&](core::SolveRequest request, const std::string& name) {
+    core::SolveReport report =
+        core::SolverRegistry::global().at(request.backend).solve(request);
+    report.game_name = name;
+    out.push_back(std::make_shared<const core::SolveReport>(std::move(report)));
+  };
+  add(quick_request(game::bird_game(), "exact-sa", 4, 1), "");
+  add(quick_request(game::random_integer_game(5, 3, rng), "lemke-howson", 1, 2),
+      "named \"lh\" \\ game");
+  core::SolveRequest re =
+      quick_request(game::random_integer_game(4, 4, rng), "exact-sa", 3, 3);
+  re.sa.mode = core::SaMode::kReplicaExchange;
+  re.sa.replicas = 4;
+  add(std::move(re), "");
+  add(quick_request(game::random_integer_game(6, 6, rng), "hardware-sa", 2, 4),
+      "");
+  return out;
+}
+
+TEST(SolutionCache, ByteChargeSequenceIsPinned) {
+  // A fixed insert / lookup / evict / reopen-and-promote sequence. The
+  // expected trace was recorded with entries that held decoded reports and
+  // charged report_footprint() of them; entries now hold bytes, and disk
+  // promotions are charged off the bytes without decoding, so any drift in
+  // the charge shows up here.
+  const auto reports = charge_reports();
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "cnash_charge_XXXXXX")
+                        .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  constexpr std::size_t kBudget = 3000;
+  std::string trace;
+  auto snap = [&](const SolutionCache& cache) {
+    const CacheStats& s = cache.stats();
+    for (const std::size_t v : {s.hits, s.misses, s.insertions, s.evictions,
+                                s.oversize_rejects, s.entries, s.bytes})
+      trace += std::to_string(v) + ',';
+    trace.back() = ';';
+  };
+  {
+    store::SolutionStore store(dir);
+    SolutionCache cache(kBudget);
+    cache.attach_store(&store);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      cache.insert(fake_key(static_cast<char>('a' + i)), reports[i]);
+      snap(cache);
+    }
+    for (const char k : {'a', 'd', 'b', 'c', 'x', 'a'}) {
+      cache.lookup(fake_key(k));
+      snap(cache);
+    }
+  }
+  {
+    store::SolutionStore store(dir);  // reopened: entries come back from disk
+    SolutionCache cache(kBudget);
+    cache.attach_store(&store);
+    for (const char k : {'d', 'a', 'b', 'c', 'a', 'x', 'b'}) {
+      cache.lookup(fake_key(k));
+      snap(cache);
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  EXPECT_EQ(trace,
+            "0,0,1,0,0,1,1245;0,0,2,0,0,2,1759;0,0,3,0,0,3,2828;0,0,4,1,0"
+            ",3,2479;0,1,5,3,0,2,2141;1,1,5,3,0,2,2141;1,2,6,3,0,3,2655;1"
+            ",3,7,4,0,3,2479;1,4,7,4,0,3,2479;1,5,8,5,0,3,2828;0,1,1,0,0,"
+            "1,896;0,2,2,0,0,2,2141;0,3,3,0,0,3,2655;0,4,4,1,0,3,2828;1,4"
+            ",4,1,0,3,2828;1,5,4,1,0,3,2828;2,5,4,1,0,3,2828;");
+}
+
+TEST(SolutionCache, ByteScanChargesWhatTheDecodedReportWouldBe) {
+  // A store hit is admitted without decoding: report_json_footprint() must
+  // agree with report_footprint() of the report the bytes decode to.
+  for (const auto& report : charge_reports()) {
+    std::string bytes;
+    core::append_report_json(bytes, *report);
+    const std::optional<std::size_t> scanned = report_json_footprint(bytes);
+    ASSERT_TRUE(scanned.has_value()) << bytes;
+    EXPECT_EQ(*scanned, report_footprint(*report)) << bytes;
+    EXPECT_EQ(*scanned, report_footprint(core::report_from_json(
+                            util::Json::parse(bytes))));
+  }
+  for (const std::string bad :
+       {"", "{}", "[]", "{\"backend\":\"x\",\"game\":\"\"}",
+        "{\"backend\":\"x\",\"game\":\"\",\"samples\":[{\"p\":[1,]}]}",
+        "{\"backend\":\"x\",\"game\":\"\",\"samples\":[]} trailing"})
+    EXPECT_FALSE(report_json_footprint(bad).has_value()) << bad;
+}
+
+// ---- spliced responses ------------------------------------------------------
+//
+// Cache and store hits (and every waiter of a fresh job) are answered from the
+// canonical report bytes: identity-order callers get the envelope and their
+// name spliced around them, permuted callers a decoded, remapped report. Each
+// response must equal what render_solve_ok_body(map_to_original(...)) gives.
+
+/// Names that exercise every escape of the JSON string writer.
+const std::vector<std::string>& splice_names() {
+  static const std::vector<std::string> names = {
+      "",
+      "plain",
+      "say \"cheese\"",
+      "back\\slash",
+      std::string("ctl\x01\x1f\n\t\r\b\f end"),
+      "utf-8 \xc3\xbcn\xc3\xaf \xe2\x9c\x93",
+  };
+  return names;
+}
+
+/// Mappings of an n×m report onto callers: the identity under every splice
+/// name, then reversed rows with rotated columns, and one swapped pair.
+std::vector<ReportMapping> splice_mappings(std::size_t n, std::size_t m) {
+  std::vector<ReportMapping> mappings;
+  ReportMapping identity;
+  identity.row_perm.resize(n);
+  identity.col_perm.resize(m);
+  std::iota(identity.row_perm.begin(), identity.row_perm.end(), 0u);
+  std::iota(identity.col_perm.begin(), identity.col_perm.end(), 0u);
+  for (const std::string& name : splice_names()) {
+    mappings.push_back(identity);
+    mappings.back().original_name = name;
+  }
+  ReportMapping moved = identity;
+  std::reverse(moved.row_perm.begin(), moved.row_perm.end());
+  std::rotate(moved.col_perm.begin(), moved.col_perm.begin() + 1,
+              moved.col_perm.end());
+  moved.original_name = "moved \"m\" \\ \x02";
+  mappings.push_back(moved);
+  ReportMapping swapped = identity;
+  std::swap(swapped.col_perm.front(), swapped.col_perm.back());
+  mappings.push_back(swapped);
+  return mappings;
+}
+
+TEST(ServeSplice, SplicedBodyEqualsTheRenderedBody) {
+  const std::vector<util::Json> ids = {util::Json::number(7),
+                                       util::Json::string("req-\"1\""),
+                                       util::Json()};
+  for (const auto& report : charge_reports()) {
+    std::string bytes;
+    core::append_report_json(bytes, *report);
+    const std::size_t n = report->samples.front().p.size();
+    const std::size_t m = report->samples.front().q.size();
+    for (const ReportMapping& mapping : splice_mappings(n, m))
+      for (const util::Json& id : ids)
+        for (const bool cached : {false, true}) {
+          std::string expected, spliced;
+          render_solve_ok_body(expected, id, cached,
+                               map_to_original(mapping, *report));
+          render_solve_ok_spliced(spliced, id, cached, bytes, mapping);
+          EXPECT_EQ(spliced, expected) << mapping.original_name;
+        }
+  }
+}
+
+TEST(ServeSplice, BytesOutsideTheWriterLayoutAreRejected) {
+  const auto report = charge_reports().front();
+  std::string bytes;
+  core::append_report_json(bytes, *report);
+  const std::vector<ReportMapping> mappings = splice_mappings(
+      report->samples.front().p.size(), report->samples.front().q.size());
+  ReportMapping short_perm = mappings.back();
+  short_perm.row_perm.pop_back();
+  std::string body;
+  for (const ReportMapping& mapping : {mappings.front(), mappings.back()}) {
+    EXPECT_THROW(render_solve_ok_spliced(body, util::Json(), true,
+                                         "{\"backend\":\"x\"}", mapping),
+                 std::invalid_argument);
+  }
+  // Cut inside the first strategy array: it never closes.
+  const std::string cut = bytes.substr(0, bytes.find("\"q\":[") + 6);
+  EXPECT_THROW(
+      render_solve_ok_spliced(body, util::Json(), true, cut, mappings.back()),
+      std::invalid_argument);
+  EXPECT_THROW(
+      render_solve_ok_spliced(body, util::Json(), true, bytes, short_perm),
+      std::invalid_argument);
+}
+
+/// A solve line carrying the game as a JSON object, so any name (control
+/// characters included) and every payoff travel exactly.
+std::string object_solve_line(const game::BimatrixGame& g, int id,
+                              const std::string& params) {
+  util::Json game = util::Json::object();
+  game.set("name", g.name());
+  for (const auto& [key, matrix] :
+       {std::pair<const char*, const la::Matrix*>{"m", &g.payoff1()},
+        {"n", &g.payoff2()}}) {
+    util::Json rows = util::Json::array();
+    for (std::size_t r = 0; r < matrix->rows(); ++r) {
+      util::Json& row = rows.push(util::Json::array());
+      for (std::size_t c = 0; c < matrix->cols(); ++c)
+        row.push(util::Json::number((*matrix)(r, c)));
+    }
+    game.set(key, std::move(rows));
+  }
+  return "{\"method\":\"solve\",\"id\":" + std::to_string(id) +
+         ",\"game\":" + game.dump() + params + "}";
+}
+
+/// Today's response to `line` when answered from `canonical`, the report in
+/// canonical action order.
+std::string expected_response(const std::string& line, bool cached,
+                              const core::SolveReport& canonical) {
+  WireRequest request = parse_request(line);
+  const CanonicalRequest c = canonicalize(std::move(*request.solve));
+  std::string body;
+  render_solve_ok_body(body, request.id, cached,
+                       map_to_original(c.mapping, canonical));
+  return body;
+}
+
+bool identity_order(const std::string& line) {
+  return canonicalize(*parse_request(line).solve).mapping.identity_order();
+}
+
+std::string raw_roundtrip(TestClient& client, const std::string& line) {
+  client.send_line(line);
+  std::string response;
+  EXPECT_TRUE(client.recv_line(response));
+  return response;
+}
+
+/// The game in its canonical action order, under `name`: a request for it
+/// maps to its canonical report by the identity.
+game::BimatrixGame canonical_game(const game::BimatrixGame& g,
+                                  const std::string& name) {
+  const game::BimatrixGame c = canonicalize(core::SolveRequest(g)).request.game;
+  return game::BimatrixGame(c.payoff1(), c.payoff2(), name);
+}
+
+/// Requests for one canonical game: identity-order ones under every splice
+/// name, then two permuted ones (one with an escaped name).
+std::vector<std::string> hit_lines(const game::BimatrixGame& canon,
+                                   const std::string& params, int first_id) {
+  std::vector<std::string> lines;
+  int id = first_id;
+  for (const std::string& name : splice_names())
+    lines.push_back(object_solve_line(
+        game::BimatrixGame(canon.payoff1(), canon.payoff2(), name), id++,
+        params));
+  const std::size_t n = canon.num_actions1(), m = canon.num_actions2();
+  std::vector<std::uint32_t> rows(n), cols(m);
+  std::iota(rows.rbegin(), rows.rend(), 0u);
+  std::iota(cols.begin(), cols.end(), 0u);
+  std::swap(cols[0], cols[m - 1]);
+  lines.push_back(object_solve_line(
+      permute_game(canon, rows, cols, "permuted \"p\""), id++, params));
+  std::iota(rows.begin(), rows.end(), 0u);
+  std::swap(rows[0], rows[1]);
+  lines.push_back(
+      object_solve_line(permute_game(canon, rows, cols, ""), id++, params));
+  return lines;
+}
+
+constexpr const char* kSpliceParams =
+    ",\"backend\":\"exact-sa\",\"runs\":4,\"iterations\":300,\"seed\":7";
+constexpr const char* kSpliceReplicaParams =
+    ",\"backend\":\"exact-sa\",\"runs\":3,\"iterations\":300,\"seed\":9,"
+    "\"sa_mode\":\"replica-exchange\",\"replicas\":4";
+
+TEST(ServeSplice, RamHitsMatchTheRenderedResponseForEveryNameAndOrder) {
+  util::Rng rng(31);
+  for (const char* params : {kSpliceParams, kSpliceReplicaParams}) {
+    ServerFixture fixture;
+    TestClient client;
+    client.connect_to(fixture.port());
+    const game::BimatrixGame canon =
+        canonical_game(game::random_integer_game(4, 3, rng), "cold");
+    const std::string cold_line = object_solve_line(canon, 1, params);
+    ASSERT_TRUE(identity_order(cold_line));
+    const std::string cold = raw_roundtrip(client, cold_line);
+    const core::SolveReport canonical =
+        core::report_from_json(util::Json::parse(cold).at("report"));
+    ASSERT_TRUE(util::Json::parse(cold).at("ok").as_bool()) << cold;
+    EXPECT_EQ(cold, expected_response(cold_line, false, canonical));
+
+    const std::vector<std::string> lines = hit_lines(canon, params, 2);
+    ASSERT_FALSE(identity_order(lines.back()));
+    for (const std::string& line : lines)
+      EXPECT_EQ(raw_roundtrip(client, line),
+                expected_response(line, true, canonical))
+          << line;
+    EXPECT_EQ(fixture.server().cache_stats().hits, lines.size());
+    EXPECT_EQ(fixture.server().served_stats().jobs_submitted, 1u);
+  }
+}
+
+TEST(ServeSplice, StoreHitsAfterAReopenMatchTheRenderedResponse) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "cnash_splice_XXXXXX")
+                        .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  util::Rng rng(37);
+  const game::BimatrixGame canon =
+      canonical_game(game::random_integer_game(3, 4, rng), "first life");
+  const std::string cold_line = object_solve_line(canon, 1, kSpliceParams);
+  ServeOptions options;
+  options.store_dir = dir;
+  std::string cold;
+  {
+    ServerFixture fixture(options);
+    TestClient client;
+    client.connect_to(fixture.port());
+    cold = raw_roundtrip(client, cold_line);
+  }
+  const core::SolveReport canonical =
+      core::report_from_json(util::Json::parse(cold).at("report"));
+
+  // No report fits the RAM tier, so every hit is read back from disk.
+  options.cache_bytes = 1;
+  ServerFixture fixture(options);
+  TestClient client;
+  client.connect_to(fixture.port());
+  const std::vector<std::string> lines = hit_lines(canon, kSpliceParams, 2);
+  for (const std::string& line : lines)
+    EXPECT_EQ(raw_roundtrip(client, line),
+              expected_response(line, true, canonical))
+        << line;
+  EXPECT_EQ(fixture.server().store()->stats().hits, lines.size());
+  EXPECT_EQ(fixture.server().served_stats().jobs_submitted, 0u);
+  fixture.stop();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(ServeSplice, CoalescedWaitersGetTheirOwnNameAndOrder) {
+  ServeOptions options;
+  options.service_threads = 1;
+  ServerFixture fixture(options);
+  TestClient first, second;
+  first.connect_to(fixture.port());
+  second.connect_to(fixture.port());
+
+  // A slow job, and three more requests for it in other names and orders
+  // pipelined behind it on two connections: all attach to the one job.
+  util::Rng rng(41);
+  const game::BimatrixGame canon =
+      canonical_game(game::random_integer_game(10, 10, rng), "slow \"0\"");
+  const std::string params =
+      ",\"backend\":\"hardware-sa\",\"runs\":6,\"iterations\":20000";
+  const std::string cold_line = object_solve_line(canon, 1, params);
+  const std::vector<std::string> lines = hit_lines(canon, params, 2);
+  const std::vector<std::string> waiters = {lines[2], lines[4],
+                                            lines[lines.size() - 2]};
+  first.send_line(cold_line);
+  first.send_line(waiters[0]);
+  first.send_line(waiters[1]);
+  second.send_line(waiters[2]);
+
+  std::string cold, response;
+  ASSERT_TRUE(first.recv_line(cold));
+  const core::SolveReport canonical =
+      core::report_from_json(util::Json::parse(cold).at("report"));
+  EXPECT_EQ(cold, expected_response(cold_line, false, canonical));
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(first.recv_line(response));
+    EXPECT_EQ(response, expected_response(waiters[i], false, canonical));
+  }
+  ASSERT_TRUE(second.recv_line(response));
+  EXPECT_EQ(response, expected_response(waiters[2], false, canonical));
+  EXPECT_EQ(fixture.server().served_stats().jobs_submitted, 1u);
+  EXPECT_EQ(fixture.server().served_stats().coalesced, 3u);
+}
+
+TEST(ServeSplice, NoCacheSolvesAreSplicedAndStayOutOfTheCache) {
+  ServerFixture fixture;
+  TestClient client;
+  client.connect_to(fixture.port());
+  util::Rng rng(43);
+  const game::BimatrixGame canon =
+      canonical_game(game::random_integer_game(4, 4, rng), "cached");
+  const std::string cold_line = object_solve_line(canon, 1, kSpliceParams);
+  const core::SolveReport canonical = core::report_from_json(
+      util::Json::parse(raw_roundtrip(client, cold_line)).at("report"));
+
+  // no_cache re-solves: the same report apart from the measured wall clock.
+  const std::string params = std::string(kSpliceParams) + ",\"no_cache\":true";
+  for (const std::string& line : hit_lines(canon, params, 2)) {
+    const std::string response = raw_roundtrip(client, line);
+    core::SolveReport expected = canonical;
+    expected.wall_clock_s = core::report_from_json(
+                                util::Json::parse(response).at("report"))
+                                .wall_clock_s;
+    EXPECT_EQ(response, expected_response(line, false, expected)) << line;
+  }
+  EXPECT_EQ(fixture.server().cache_stats().insertions, 1u);
+  EXPECT_EQ(fixture.server().cache_stats().hits, 0u);
 }
 
 }  // namespace

@@ -18,12 +18,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -240,6 +242,34 @@ TEST(WireCorpus, StoreValuesDecodeToTheSameBytes) {
     const core::SolveReport back =
         core::report_from_json(util::Json::parse(value));
     EXPECT_EQ(core::report_to_json(back).dump(), value) << l.label;
+  }
+}
+
+TEST(WireCorpus, SplicedStoreValuesEqualRenderedBodies) {
+  // Hits are answered from the store value without decoding it: the
+  // envelope and the caller's name are spliced around it and, for a caller
+  // in another action order, its strategy tokens are moved. That must give
+  // the rendered body's bytes for every corpus report, order and id kind.
+  for (const Labeled& l : corpus_reports()) {
+    std::string value;
+    core::append_report_json(value, l.report);
+    serve::ReportMapping identity;
+    identity.row_perm.resize(l.report.samples.front().p.size());
+    identity.col_perm.resize(l.report.samples.front().q.size());
+    std::iota(identity.row_perm.begin(), identity.row_perm.end(), 0u);
+    std::iota(identity.col_perm.begin(), identity.col_perm.end(), 0u);
+    identity.original_name = "wire \"name\" \\ \x01";
+    serve::ReportMapping reversed = identity;
+    std::reverse(reversed.row_perm.begin(), reversed.row_perm.end());
+    std::reverse(reversed.col_perm.begin(), reversed.col_perm.end());
+    for (const serve::ReportMapping& mapping : {identity, reversed})
+      for (const auto& [label, id] : corpus_ids()) {
+        std::string expected, spliced;
+        serve::render_solve_ok_body(expected, id, true,
+                                    serve::map_to_original(mapping, l.report));
+        serve::render_solve_ok_spliced(spliced, id, true, value, mapping);
+        EXPECT_EQ(spliced, expected) << l.label << " id=" << label;
+      }
   }
 }
 
