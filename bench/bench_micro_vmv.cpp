@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): cost of the simulator primitives — the
 // two-phase hardware evaluation, exact objective, crossbar reads, WTA
 // reductions, annealer sweeps, the simd:: kernel layer at each ISA level, and
-// the lockstep run-batched SA drivers.
+// the lockstep replica-exchange SA driver.
 //
 // Supports the shared `--json <path>` flag (BENCH_micro_vmv.json) alongside
 // the usual --benchmark_* flags.
@@ -254,68 +254,28 @@ void BM_SimdOffCellExp10(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdOffCellExp10)->Arg(0)->Arg(1)->Arg(2);
 
-// ---- Lockstep run-batched SA, batched-kernel axis ---------------------------
-// Arg(K) = lockstep lanes per simulated_annealing_batch call. Reported time
-// is for K lanes x 200 iterations; items/s is lane-iterations/s, so the
-// per-run cost win from the shared payoff block shows up directly.
-
-void BM_SaExactBatchLanes(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const core::ExactEvaluatorFactory factory(game::coordination(64));
-  core::SaOptions opts;
-  opts.iterations = 200;
-  std::vector<std::uint64_t> keys(k);
-  const util::Rng root(24);
-  for (std::size_t l = 0; l < k; ++l) keys[l] = 2 * l;
-  for (auto _ : state) {
-    std::vector<util::Rng> rngs;
-    for (std::size_t l = 0; l < k; ++l) rngs.push_back(root.split(2 * l + 1));
-    auto batch = factory.create_batched(keys.data(), k);
-    benchmark::DoNotOptimize(
-        core::simulated_annealing_batch(*batch, 12, opts, rngs.data()));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * k * opts.iterations));
-}
-BENCHMARK(BM_SaExactBatchLanes)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_SaTwoPhaseBatchLanes(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const core::HardwareEvaluatorFactory factory(game::bird_game(), 12,
-                                               core::TwoPhaseConfig{},
-                                               util::Rng(25));
-  core::SaOptions opts;
-  opts.iterations = 200;
-  std::vector<std::uint64_t> keys(k);
-  const util::Rng root(26);
-  for (std::size_t l = 0; l < k; ++l) keys[l] = 2 * l;
-  for (auto _ : state) {
-    std::vector<util::Rng> rngs;
-    for (std::size_t l = 0; l < k; ++l) rngs.push_back(root.split(2 * l + 1));
-    auto batch = factory.create_batched(keys.data(), k);
-    benchmark::DoNotOptimize(
-        core::simulated_annealing_batch(*batch, 12, opts, rngs.data()));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * k * opts.iterations));
-}
-BENCHMARK(BM_SaTwoPhaseBatchLanes)->Arg(1)->Arg(8)->Unit(benchmark::kMicrosecond);
+// ---- Replica exchange: one lockstep ensemble of scalar evaluators ----------
+// Reported time is for R replicas x 200 iterations; items/s is
+// replica-iterations/s.
 
 void BM_SaReplicaExchangeEnsemble(benchmark::State& state) {
   const core::ExactEvaluatorFactory factory(game::coordination(64));
   core::SaOptions opts;
   opts.iterations = 200;
   const std::size_t r = opts.replicas;
-  std::vector<std::uint64_t> keys(r);
   const util::Rng root(27);
-  for (std::size_t l = 0; l < r; ++l) keys[l] = 2 * l;
   for (auto _ : state) {
+    std::vector<std::unique_ptr<core::ObjectiveEvaluator>> owned;
+    std::vector<core::ObjectiveEvaluator*> replicas;
     std::vector<util::Rng> rngs;
-    for (std::size_t l = 0; l < r; ++l) rngs.push_back(root.split(2 * l + 1));
+    for (std::size_t l = 0; l < r; ++l) {
+      owned.push_back(factory.create(2 * l));
+      replicas.push_back(owned.back().get());
+      rngs.push_back(root.split(2 * l + 1));
+    }
     util::Rng swap_rng = root.split(2 * r + 1);
-    auto batch = factory.create_batched(keys.data(), r);
     benchmark::DoNotOptimize(core::simulated_annealing_replica_exchange(
-        *batch, 12, opts, rngs.data(), swap_rng));
+        replicas, 12, opts, rngs.data(), swap_rng));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * r * opts.iterations));

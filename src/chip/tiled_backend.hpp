@@ -1,10 +1,11 @@
 #pragma once
 // The "hardware-sa-tiled" solver backend: two-phase SA on the multi-tile
 // chip model (chip/tiled_two_phase) with request-chosen tile dimensions.
-// Shares the SaPreparedJob unit contract with "hardware-sa" — evaluator
-// instance key 2r, SA stream key 2r+1 — and the evaluator, so a request whose
-// game fits a single tile (and draws no tile faults) reproduces the
-// "hardware-sa" samples; only modeled_time_s differs (tiled latency model).
+// Shares the SaPreparedJob unit contract with "hardware-sa" — one run per
+// unit, evaluator instance key 2r, SA stream key 2r+1 — and the evaluator,
+// so a request whose game fits a single tile (and draws no tile faults)
+// reproduces the "hardware-sa" samples; only modeled_time_s differs (tiled
+// latency model).
 
 #include <memory>
 

@@ -60,12 +60,12 @@ game::QuantizedProfile sa_draw_initial(const game::BimatrixGame& g,
   return {draw(g.num_actions1()), draw(g.num_actions2())};
 }
 
-/// One SA lane: the per-run state the lockstep drivers advance. The scalar
-/// entry points run a single lane through the same start/step code, so lane
-/// semantics and scalar semantics can never drift apart.
-struct SaLane {
-  SaLane(ObjectiveEvaluator& objective, game::QuantizedProfile initial,
-         double f0)
+/// One SA chain: the per-run state a driver advances. The scalar run and
+/// every replica of a replica-exchange ensemble go through the same
+/// start/step code, so their semantics can never drift apart.
+struct SaChain {
+  SaChain(ObjectiveEvaluator& objective, game::QuantizedProfile initial,
+          double f0)
       : res{initial,          f0, std::move(initial), f0,
             /*accepted=*/0,
             /*iterations=*/0, /*evaluations=*/1},
@@ -88,15 +88,15 @@ struct SaLane {
   game::QuantizedProfile candidate;  // full-evaluation path scratch
 };
 
-SaLane sa_lane_start(ObjectiveEvaluator& objective,
-                     game::QuantizedProfile initial) {
+SaChain sa_chain_start(ObjectiveEvaluator& objective,
+                       game::QuantizedProfile initial) {
   const double f0 = objective.evaluate(initial);
-  return SaLane(objective, std::move(initial), f0);
+  return SaChain(objective, std::move(initial), f0);
 }
 
-void sa_lane_step(SaLane& lane, const SaOptions& opts, double temperature,
-                  util::Rng& rng) {
-  SaRunResult& res = lane.res;
+void sa_chain_step(SaChain& chain, const SaOptions& opts, double temperature,
+                   util::Rng& rng) {
+  SaRunResult& res = chain.res;
   // Perturb one player always, the other with configured probability —
   // both-player moves are required to hop between equilibria of
   // coordination-style games.
@@ -121,29 +121,29 @@ void sa_lane_step(SaLane& lane, const SaOptions& opts, double temperature,
   }
 
   double f_n;
-  if (lane.inc) {
+  if (chain.inc) {
     for (std::size_t i = 0; i < num_moves; ++i) {
       auto& s = moves[i].player == TickMove::Player::kRow ? res.final_profile.p
                                                           : res.final_profile.q;
       s.move_tick(moves[i].from, moves[i].to);
     }
-    f_n = lane.inc->propose(moves, num_moves);
+    f_n = chain.inc->propose(moves, num_moves);
   } else {
-    lane.candidate = res.final_profile;
+    chain.candidate = res.final_profile;
     for (std::size_t i = 0; i < num_moves; ++i) {
-      auto& s = moves[i].player == TickMove::Player::kRow ? lane.candidate.p
-                                                          : lane.candidate.q;
+      auto& s = moves[i].player == TickMove::Player::kRow ? chain.candidate.p
+                                                          : chain.candidate.q;
       s.move_tick(moves[i].from, moves[i].to);
     }
-    f_n = lane.obj->evaluate(lane.candidate);
+    f_n = chain.obj->evaluate(chain.candidate);
   }
   ++res.evaluations;
   const double delta = f_n - res.final_objective;
   if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
-    if (lane.inc) {
-      lane.inc->commit();
+    if (chain.inc) {
+      chain.inc->commit();
     } else {
-      res.final_profile = lane.candidate;
+      res.final_profile = chain.candidate;
     }
     res.final_objective = f_n;
     ++res.accepted;
@@ -151,7 +151,7 @@ void sa_lane_step(SaLane& lane, const SaOptions& opts, double temperature,
       res.best_objective = f_n;
       res.best_profile = res.final_profile;
     }
-  } else if (lane.inc) {
+  } else if (chain.inc) {
     // Rejected: undo the in-place moves (reverse order, ticks swapped).
     for (std::size_t i = num_moves; i-- > 0;) {
       auto& s = moves[i].player == TickMove::Player::kRow ? res.final_profile.p
@@ -179,49 +179,21 @@ SaRunResult simulated_annealing_from(ObjectiveEvaluator& objective,
     throw std::invalid_argument("simulated_annealing: zero iterations");
 
   const TempSchedule sched = sa_schedule(objective.game(), opts);
-  SaLane lane = sa_lane_start(objective, std::move(initial));
+  SaChain chain = sa_chain_start(objective, std::move(initial));
   double temperature = sched.t_max;
   for (std::size_t it = 0; it < opts.iterations;
        ++it, temperature *= sched.decay)
-    sa_lane_step(lane, opts, temperature, rng);
-  return std::move(lane.res);
-}
-
-std::vector<SaRunResult> simulated_annealing_batch(BatchedEvaluator& batch,
-                                                   std::uint32_t intervals,
-                                                   const SaOptions& opts,
-                                                   util::Rng* lane_rngs) {
-  if (opts.iterations == 0)
-    throw std::invalid_argument("simulated_annealing_batch: zero iterations");
-  const std::size_t k = batch.lanes();
-  const TempSchedule sched = sa_schedule(batch.game(), opts);
-
-  std::vector<SaLane> lanes;
-  lanes.reserve(k);
-  for (std::size_t l = 0; l < k; ++l)
-    lanes.push_back(sa_lane_start(
-        batch.lane(l),
-        sa_draw_initial(batch.lane(l).game(), intervals, opts, lane_rngs[l])));
-
-  double temperature = sched.t_max;
-  for (std::size_t it = 0; it < opts.iterations;
-       ++it, temperature *= sched.decay)
-    for (std::size_t l = 0; l < k; ++l)
-      sa_lane_step(lanes[l], opts, temperature, lane_rngs[l]);
-
-  std::vector<SaRunResult> out;
-  out.reserve(k);
-  for (SaLane& lane : lanes) out.push_back(std::move(lane.res));
-  return out;
+    sa_chain_step(chain, opts, temperature, rng);
+  return std::move(chain.res);
 }
 
 std::vector<SaRunResult> simulated_annealing_replica_exchange(
-    BatchedEvaluator& batch, std::uint32_t intervals, const SaOptions& opts,
-    util::Rng* lane_rngs, util::Rng& swap_rng) {
+    const std::vector<ObjectiveEvaluator*>& replicas, std::uint32_t intervals,
+    const SaOptions& opts, util::Rng* replica_rngs, util::Rng& swap_rng) {
   if (opts.iterations == 0)
     throw std::invalid_argument(
         "simulated_annealing_replica_exchange: zero iterations");
-  const std::size_t r = batch.lanes();
+  const std::size_t r = replicas.size();
   if (r < 2)
     throw std::invalid_argument(
         "simulated_annealing_replica_exchange: need >= 2 replicas");
@@ -232,24 +204,24 @@ std::vector<SaRunResult> simulated_annealing_replica_exchange(
     throw std::invalid_argument(
         "simulated_annealing_replica_exchange: ladder_ratio must be > 1");
 
-  const TempSchedule sched = sa_schedule(batch.game(), opts);
+  const TempSchedule sched = sa_schedule(replicas[0]->game(), opts);
   // Ladder position 0 anneals at the base schedule; position k at
   // base_T * ratio^k. Swaps exchange TEMPERATURES (ladder positions), not
   // replica states — cheaper than swapping profiles and identical in law.
   std::vector<double> ladder(r);
   ladder[0] = 1.0;
   for (std::size_t p = 1; p < r; ++p) ladder[p] = ladder[p - 1] * opts.ladder_ratio;
-  std::vector<std::size_t> at(r);      // at[pos]    = lane at ladder position
-  std::vector<std::size_t> pos_of(r);  // pos_of[l]  = lane l's ladder position
+  std::vector<std::size_t> at(r);      // at[pos]   = replica at ladder position
+  std::vector<std::size_t> pos_of(r);  // pos_of[l] = replica l's ladder position
   std::iota(at.begin(), at.end(), std::size_t{0});
   std::iota(pos_of.begin(), pos_of.end(), std::size_t{0});
 
-  std::vector<SaLane> lanes;
-  lanes.reserve(r);
+  std::vector<SaChain> chains;
+  chains.reserve(r);
   for (std::size_t l = 0; l < r; ++l)
-    lanes.push_back(sa_lane_start(
-        batch.lane(l),
-        sa_draw_initial(batch.lane(l).game(), intervals, opts, lane_rngs[l])));
+    chains.push_back(sa_chain_start(
+        *replicas[l], sa_draw_initial(replicas[l]->game(), intervals, opts,
+                                      replica_rngs[l])));
 
   double base_t = sched.t_max;
   std::size_t swap_proposals = 0;
@@ -257,7 +229,8 @@ std::vector<SaRunResult> simulated_annealing_replica_exchange(
   for (std::size_t it = 0; it < opts.iterations;
        ++it, base_t *= sched.decay) {
     for (std::size_t l = 0; l < r; ++l)
-      sa_lane_step(lanes[l], opts, base_t * ladder[pos_of[l]], lane_rngs[l]);
+      sa_chain_step(chains[l], opts, base_t * ladder[pos_of[l]],
+                    replica_rngs[l]);
 
     if ((it + 1) % opts.exchange_interval == 0) {
       // One sweep of adjacent-pair swap proposals, coldest first. Exactly one
@@ -272,8 +245,8 @@ std::vector<SaRunResult> simulated_annealing_replica_exchange(
         // Metropolis on the joint chain: accept with
         // min(1, exp((1/T_cold - 1/T_hot) * (f_cold - f_hot))).
         const double arg = (1.0 / t_cold - 1.0 / t_hot) *
-                           (lanes[a].res.final_objective -
-                            lanes[b].res.final_objective);
+                           (chains[a].res.final_objective -
+                            chains[b].res.final_objective);
         ++swap_proposals;
         if (arg >= 0.0 || u < std::exp(arg)) {
           ++swap_accepts;
@@ -288,10 +261,10 @@ std::vector<SaRunResult> simulated_annealing_replica_exchange(
 
   std::vector<SaRunResult> out;
   out.reserve(r);
-  for (SaLane& lane : lanes) {
-    lane.res.swap_proposals = swap_proposals;
-    lane.res.swap_accepts = swap_accepts;
-    out.push_back(std::move(lane.res));
+  for (SaChain& chain : chains) {
+    chain.res.swap_proposals = swap_proposals;
+    chain.res.swap_accepts = swap_accepts;
+    out.push_back(std::move(chain.res));
   }
   return out;
 }

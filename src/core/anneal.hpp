@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/maxqubo.hpp"
 #include "game/strategy.hpp"
 #include "util/rng.hpp"
@@ -20,15 +19,14 @@ enum class SaInit {
   kRandomSupport       // uniform over support sizes, then over that face
 };
 
-/// How a work unit's lanes relate to each other.
+/// What one work unit of an SA job runs.
 enum class SaMode : std::uint8_t {
-  /// Lanes are independent runs batched for locality; results are
-  /// byte-identical to unbatched scalar runs for any batch_lanes value.
+  /// One independent annealing run per unit.
   kIndependent,
-  /// Lanes are replicas of ONE run at a geometric temperature ladder with
-  /// periodic lockstep swap proposals (parallel tempering) — hard games
-  /// converge in fewer iterations, not just faster iterations. On the analog
-  /// fabric the replicas occupy concurrent crossbar banks, so a unit's
+  /// One ensemble per unit: replicas of ONE run at a geometric temperature
+  /// ladder with periodic lockstep swap proposals (parallel tempering) — hard
+  /// games converge in fewer iterations, not just faster iterations. On the
+  /// analog fabric the replicas occupy concurrent crossbar banks, so a unit's
   /// modeled time is that of a single run.
   kReplicaExchange
 };
@@ -50,11 +48,8 @@ struct SaOptions {
   /// perturbed player is always chosen at random).
   double both_players_prob = 0.5;
 
-  // ---- Run-batching / replica-exchange knobs --------------------------------
+  // ---- Replica-exchange knobs ----------------------------------------------
   SaMode mode = SaMode::kIndependent;
-  /// Lockstep lanes per work unit in kIndependent mode (0 behaves as 1).
-  /// Never changes results — only scheduling grain and locality.
-  std::size_t batch_lanes = 8;
   /// Ladder size in kReplicaExchange mode (>= 2).
   std::size_t replicas = 8;
   /// Iterations between lockstep swap-proposal rounds (>= 1).
@@ -91,23 +86,15 @@ SaRunResult simulated_annealing_from(ObjectiveEvaluator& objective,
                                      game::QuantizedProfile initial,
                                      const SaOptions& opts, util::Rng& rng);
 
-/// K INDEPENDENT runs advanced in lockstep (iteration-major, lane-minor).
-/// Lane l draws from lane_rngs[l] in exactly the scalar per-run sequence, so
-/// the result vector byte-matches K simulated_annealing() calls on the same
-/// evaluators and streams — for any lane count, including K = 1.
-std::vector<SaRunResult> simulated_annealing_batch(BatchedEvaluator& batch,
-                                                   std::uint32_t intervals,
-                                                   const SaOptions& opts,
-                                                   util::Rng* lane_rngs);
-
-/// One replica-exchange (parallel tempering) ensemble: batch.lanes() replicas
-/// anneal in lockstep at a geometric temperature ladder; every
+/// One replica-exchange (parallel tempering) ensemble: replicas.size()
+/// replicas anneal in lockstep at a geometric temperature ladder, replica l
+/// on evaluator *replicas[l] and stream replica_rngs[l]; every
 /// opts.exchange_interval iterations adjacent ladder positions propose a
 /// temperature swap through `swap_rng` (exactly one uniform per proposal,
 /// accepted or not — fixed draw count keeps the schedule deterministic).
 /// Returns the per-replica results; the caller picks the winning replica.
 std::vector<SaRunResult> simulated_annealing_replica_exchange(
-    BatchedEvaluator& batch, std::uint32_t intervals, const SaOptions& opts,
-    util::Rng* lane_rngs, util::Rng& swap_rng);
+    const std::vector<ObjectiveEvaluator*>& replicas, std::uint32_t intervals,
+    const SaOptions& opts, util::Rng* replica_rngs, util::Rng& swap_rng);
 
 }  // namespace cnash::core

@@ -198,39 +198,22 @@ SolveSample sa_sample(const SaRunResult& res, bool report_best) {
 
 }  // namespace
 
-std::size_t SaPreparedJob::num_units() const {
-  if (sa_.mode == SaMode::kReplicaExchange) return num_runs_;
-  const std::size_t k = std::max<std::size_t>(1, sa_.batch_lanes);
-  return (num_runs_ + k - 1) / k;
-}
+std::size_t SaPreparedJob::num_units() const { return num_runs_; }
 
 std::vector<SolveSample> SaPreparedJob::run_unit(std::size_t unit) const {
   return sa_.mode == SaMode::kReplicaExchange ? run_ensemble_unit(unit)
-                                              : run_batch_unit(unit);
+                                              : run_single_unit(unit);
 }
 
-std::vector<SolveSample> SaPreparedJob::run_batch_unit(std::size_t unit) const {
+std::vector<SolveSample> SaPreparedJob::run_single_unit(
+    std::size_t unit) const {
   // Even keys address evaluator instances, odd keys SA streams, so the two
-  // families can never alias across runs. Lanes keep the per-run keys of the
-  // scalar sweep, so any K produces bit-identical reports.
-  const std::size_t k = std::max<std::size_t>(1, sa_.batch_lanes);
-  const std::uint64_t first = base_run_ + unit * k;
-  const std::size_t count = std::min(k, num_runs_ - unit * k);
-  std::vector<std::uint64_t> keys(count);
-  std::vector<util::Rng> rngs;
-  rngs.reserve(count);
-  for (std::size_t l = 0; l < count; ++l) {
-    keys[l] = 2 * (first + l);
-    rngs.push_back(root_.split(2 * (first + l) + 1));
-  }
-  const std::unique_ptr<BatchedEvaluator> batch =
-      factory_->create_batched(keys.data(), count);
-  const std::vector<SaRunResult> results =
-      simulated_annealing_batch(*batch, intervals_, sa_, rngs.data());
-  std::vector<SolveSample> out;
-  out.reserve(count);
-  for (const SaRunResult& res : results)
-    out.push_back(sa_sample(res, report_best_));
+  // families can never alias across runs.
+  const std::uint64_t r = base_run_ + unit;
+  const std::unique_ptr<ObjectiveEvaluator> objective = factory_->create(2 * r);
+  util::Rng rng = root_.split(2 * r + 1);
+  std::vector<SolveSample> out{sa_sample(
+      simulated_annealing(*objective, intervals_, sa_, rng), report_best_)};
   verify_samples(factory_->game(), nash_eps_, out);
   return out;
 }
@@ -240,20 +223,22 @@ std::vector<SolveSample> SaPreparedJob::run_ensemble_unit(
   const std::uint64_t e = base_run_ + unit;
   const std::size_t r = sa_.replicas;
   const std::uint64_t stride = static_cast<std::uint64_t>(r) + 1;
-  std::vector<std::uint64_t> keys(r);
+  std::vector<std::unique_ptr<ObjectiveEvaluator>> owned;
+  std::vector<ObjectiveEvaluator*> replicas;
   std::vector<util::Rng> rngs;
+  owned.reserve(r);
+  replicas.reserve(r);
   rngs.reserve(r);
   for (std::size_t l = 0; l < r; ++l) {
-    keys[l] = 2 * (e * stride + l);
+    owned.push_back(factory_->create(2 * (e * stride + l)));
+    replicas.push_back(owned.back().get());
     rngs.push_back(root_.split(2 * (e * stride + l) + 1));
   }
   util::Rng swap_rng = root_.split(2 * (e * stride + r) + 1);
-  const std::unique_ptr<BatchedEvaluator> batch =
-      factory_->create_batched(keys.data(), r);
   const std::vector<SaRunResult> results = simulated_annealing_replica_exchange(
-      *batch, intervals_, sa_, rngs.data(), swap_rng);
-  // The ensemble reports its winning replica (ties to the lowest lane index
-  // for determinism).
+      replicas, intervals_, sa_, rngs.data(), swap_rng);
+  // The ensemble reports its winning replica (ties to the lowest replica
+  // index for determinism).
   std::size_t win = 0;
   auto score = [&](const SaRunResult& res) {
     return report_best_ ? res.best_objective : res.final_objective;

@@ -212,11 +212,9 @@ class SolverRegistry {
 /// The SA job shared by the hardware-sa / exact-sa backends and the
 /// SolverEngine.
 ///
-/// Independent mode: runs are grouped into lockstep batches of
-/// sa.batch_lanes lanes; unit u covers runs [u*K, u*K + lanes). Run r keeps
-/// the scalar key scheme — evaluator instance key 2r, SA stream key 2r + 1
-/// (even/odd keys can never alias across runs) — so the report is
-/// byte-identical for ANY batch_lanes value, including the unbatched K = 1.
+/// Independent mode: unit u is ONE run, r = base_run + u, on evaluator
+/// instance key 2r and SA stream key 2r + 1 (even/odd keys can never alias
+/// across runs).
 ///
 /// Replica-exchange mode: unit u is ONE ensemble of sa.replicas lockstep
 /// replicas producing one sample (the winning replica). Ensemble e uses a
@@ -235,7 +233,7 @@ class SaPreparedJob final : public PreparedJob {
   std::vector<SolveSample> run_unit(std::size_t unit) const override;
 
  private:
-  std::vector<SolveSample> run_batch_unit(std::size_t unit) const;
+  std::vector<SolveSample> run_single_unit(std::size_t unit) const;
   std::vector<SolveSample> run_ensemble_unit(std::size_t unit) const;
 
   std::shared_ptr<const EvaluatorFactory> factory_;

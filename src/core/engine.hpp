@@ -1,11 +1,11 @@
 #pragma once
-// core::SolverEngine — batched dispatch of independent two-phase SA runs
-// across per-run evaluator instances.
+// core::SolverEngine — dispatch of independent two-phase SA runs, one
+// service unit and one evaluator instance per run.
 //
 // The paper's headline numbers (Table 1 success rate, Fig. 10
 // time-to-solution) aggregate thousands of INDEPENDENT annealing runs, so the
 // engine treats "one run" as the unit of work. Since the SolverService
-// refactor the engine owns no threads of its own: each run() batch becomes
+// refactor the engine owns no threads of its own: each run() call becomes
 // one job on the process-wide SolverService pool (see service.hpp), scheduled
 // run-granularly alongside any other in-flight jobs. Every run r derives
 //   * its SA stream            from  Rng(seed).split(2r + 1)
@@ -44,24 +44,17 @@ class EvaluatorFactory {
   virtual const game::BimatrixGame& game() const = 0;
   virtual std::unique_ptr<ObjectiveEvaluator> create(
       std::uint64_t instance_key) const = 0;
-  /// `lanes` lockstep lanes for the batched SA drivers: lane l behaves
-  /// byte-identically to create(instance_keys[l]). The default wraps scalar
-  /// instances; factories with shareable immutable state override it.
-  virtual std::unique_ptr<BatchedEvaluator> create_batched(
-      const std::uint64_t* instance_keys, std::size_t lanes) const;
 };
 
 /// Exact software objective (ablation backend). Instances are stateless
 /// w.r.t. the key — every instance evaluates Eq. 9 identically — and share
 /// one read-only payoff block (game + transposed copies) across all
-/// instances and batch lanes of the factory's lifetime.
+/// instances of the factory's lifetime, replicas of an ensemble included.
 class ExactEvaluatorFactory final : public EvaluatorFactory {
  public:
   explicit ExactEvaluatorFactory(game::BimatrixGame game);
   const game::BimatrixGame& game() const override { return shared_->game; }
   std::unique_ptr<ObjectiveEvaluator> create(std::uint64_t) const override;
-  std::unique_ptr<BatchedEvaluator> create_batched(
-      const std::uint64_t* instance_keys, std::size_t lanes) const override;
 
  private:
   std::shared_ptr<const ExactMaxQubo::Shared> shared_;

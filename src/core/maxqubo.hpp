@@ -69,9 +69,9 @@ class ExactMaxQubo final : public ObjectiveEvaluator,
                            public IncrementalEvaluator {
  public:
   /// Read-only payoff block: the game plus the transposed copies used by
-  /// column tick moves. Lockstep run-batches share one instance across all
-  /// lanes (structure-of-arrays across runs: the big immutable slabs exist
-  /// once, only the per-lane delta states are replicated).
+  /// column tick moves. Every instance an ExactEvaluatorFactory creates
+  /// shares one block: the big immutable slabs exist once, only the
+  /// per-instance delta states are replicated.
   struct Shared {
     explicit Shared(game::BimatrixGame g)
         : game(std::move(g)),
@@ -119,7 +119,7 @@ class ExactMaxQubo final : public ObjectiveEvaluator,
 
   // The game plus transposed payoff copies (column tick moves update against
   // contiguous rows — same values as the strided column walk, SIMD-friendly
-  // layout). Possibly shared with other lanes of a run-batch.
+  // layout). Possibly shared with other instances of the same game.
   std::shared_ptr<const Shared> shared_;
 
   // Incremental state: committed profile counts, committed/scratch products,

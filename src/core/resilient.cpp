@@ -13,7 +13,7 @@ namespace {
 
 /// Pairs the primary hardware job with its exact-sa shadow. Units map 1:1 —
 /// both are SaPreparedJobs built from the same (runs, sa) — so unit u's
-/// fallback reproduces the exact-sa samples for the very runs the primary
+/// fallback reproduces the exact-sa sample for the very run the primary
 /// failed to deliver.
 class ResilientJob final : public PreparedJob {
  public:

@@ -17,16 +17,9 @@ BimatrixGame bird_game() {
 }
 
 BimatrixGame modified_prisoners_dilemma() {
-  // Payoffs scaled by 10 to keep every entry an integer (hardware-friendly):
-  //   actions 0..4 : cooperative ventures, pay 10 when both players focus on
-  //                  the same venture, 0 against anything else;
-  //   action  5    : defect — guaranteed 3 against any cooperative venture,
-  //                  -10 against defect or spite;
-  //   actions 6..7 : spite — always -50 (strictly dominated).
-  // Defect beats cooperation spread over >= 4 ventures (10/s < 3 for s >= 4)
-  // but loses to focused cooperation (10/s > 3 for s <= 3), which prunes the
-  // equilibrium set to supports of size <= 3 among the ventures:
-  //   C(5,1) + C(5,2) + C(5,3) = 5 + 10 + 10 = 25 equilibria.
+  // Payoffs scaled by 10 to keep every entry an integer (hardware-friendly).
+  // Actions 0..4 are cooperative ventures: 10 when both players pick the same
+  // venture, 0 against anything else.
   constexpr std::size_t kActions = 8;
   la::Matrix a(kActions, kActions, 0.0);
   for (std::size_t v = 0; v < 5; ++v) a(v, v) = 10.0;

@@ -116,8 +116,6 @@ GameKey request_key(const core::SolveRequest& req) {
   kb.f64(req.sa.t_end_rel);
   kb.f64(req.sa.both_players_prob);
   // SA mode: replica-exchange knobs change results, so they key the cache.
-  // batch_lanes is deliberately absent — lockstep batching is byte-identical
-  // to the unbatched sweep for any lane count (see SaPreparedJob).
   kb.u32(static_cast<std::uint32_t>(req.sa.mode));
   kb.u64(req.sa.replicas);
   kb.u64(req.sa.exchange_interval);

@@ -127,7 +127,9 @@ core::SolveRequest solve_from_request(const util::Json& root,
       bad("\"sa_mode\" must be \"independent\" or \"replica-exchange\"");
     }
   }
-  req.sa.batch_lanes = size_field(root, "batch_lanes", req.sa.batch_lanes);
+  // Accepted for wire compatibility and type-checked, then ignored: every
+  // independent SA run is its own service unit.
+  size_field(root, "batch_lanes", 1);
   req.sa.replicas = size_field(root, "replicas", req.sa.replicas);
   req.sa.exchange_interval =
       size_field(root, "exchange_interval", req.sa.exchange_interval);

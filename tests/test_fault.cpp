@@ -10,7 +10,7 @@
 //   * "resilient" meta-backend — with faults off it is sample-for-sample
 //     bit-identical to its wrapped primary; with 100% tile faults every unit
 //     falls back to exact-sa (fallback_count == runs) and the samples match a
-//     pure exact-sa solve bit for bit;
+//     pure exact-sa solve bit for bit; a unit fault costs only its one run;
 //   * validate_request — the new deadline / fault / resilient_primary knobs
 //     reject bad requests at submit time;
 //   * SolverService deadlines — anytime degradation: a deadline-bounded job
@@ -327,6 +327,37 @@ TEST(ResilientBackend, InjectedUnitFailuresFallBack) {
   for (const core::SolveSample& s : report.samples) EXPECT_TRUE(s.fallback);
 }
 
+// Unit faults are rolled per unit, and a unit is one run: at default SA
+// options a fault costs exactly the run it hits, and the fallback sample is
+// exact-sa's sample at the same run index.
+TEST(ResilientBackend, UnitFaultsFallBackOneRunAtATime) {
+  core::SolveRequest req = resilient_request("hardware-sa", 8);
+  req.sa = core::SaOptions{};
+  req.fault.seed = 5;
+  req.fault.unit_failure_rate = 0.5;
+  core::SolveRequest exact_req = req;
+  exact_req.backend = "exact-sa";
+  exact_req.fault = util::FaultPlan{};
+  core::SolveRequest primary_req = exact_req;
+  primary_req.backend = "hardware-sa";
+
+  const core::SolveReport report =
+      core::SolverRegistry::global().at("resilient").solve(req);
+  const core::SolveReport exact =
+      core::SolverRegistry::global().at("exact-sa").solve(exact_req);
+  const core::SolveReport primary =
+      core::SolverRegistry::global().at("hardware-sa").solve(primary_req);
+
+  EXPECT_GT(report.fallback_count, 0u);
+  EXPECT_LT(report.fallback_count, 8u);
+  ASSERT_EQ(report.samples.size(), 8u);
+  for (std::size_t r = 0; r < report.samples.size(); ++r) {
+    const core::SolveSample& expected =
+        report.samples[r].fallback ? exact.samples[r] : primary.samples[r];
+    expect_samples_identical({report.samples[r]}, {expected});
+  }
+}
+
 // ---- validate_request: the robustness knobs ---------------------------------
 
 TEST(ValidateRequest, RejectsBadDeadlines) {
@@ -382,8 +413,7 @@ TEST(ServiceDeadline, ImmediatelyExpiredJobReturnsEmptyDegradedReport) {
   req.backend = "exact-sa";
   req.runs = 8;
   req.sa.iterations = 200;
-  req.sa.batch_lanes = 1;  // one run per unit: units_total counts all 8
-  req.deadline_s = 1e-9;   // expired before any worker can claim a unit
+  req.deadline_s = 1e-9;  // expired before any worker can claim a unit
   const core::SolveReport report = service.solve(std::move(req));
   EXPECT_TRUE(report.degraded);
   EXPECT_EQ(report.units_total, 8u);
@@ -402,7 +432,6 @@ TEST(ServiceDeadline, LargeGameDegradesWithinOneUnitOfTheDeadline) {
   req.runs = 16;
   req.seed = 6;
   req.sa.iterations = 1500;
-  req.sa.batch_lanes = 1;  // one run per unit
 
   // Time one unit inline to scale the deadline to this machine.
   const auto& backend = core::SolverRegistry::global().at("exact-sa");

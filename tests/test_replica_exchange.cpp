@@ -1,3 +1,8 @@
+// Replica-exchange ensembles (the one lockstep SA driver) and the SA unit
+// contract shared by hardware-sa / exact-sa: an independent-mode unit is one
+// scalar run on fixed keyed streams, and a report does not depend on the SIMD
+// dispatch level.
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +11,6 @@
 
 #include "core/anneal.hpp"
 #include "core/backend.hpp"
-#include "core/batch.hpp"
 #include "core/engine.hpp"
 #include "game/games.hpp"
 #include "simd/simd.hpp"
@@ -15,74 +19,61 @@
 namespace cnash::core {
 namespace {
 
-// The per-run key scheme shared by SaPreparedJob and these tests: run r's
-// evaluator instance key is 2r, its SA stream key 2r + 1.
+// The per-run key scheme of SaPreparedJob: run r's evaluator instance key is
+// 2r, its SA stream key 2r + 1.
 constexpr std::uint64_t instance_key(std::uint64_t run) { return 2 * run; }
 constexpr std::uint64_t stream_key(std::uint64_t run) { return 2 * run + 1; }
 
-void expect_same_result(const SaRunResult& a, const SaRunResult& b,
-                        std::size_t run) {
-  EXPECT_EQ(a.final_profile, b.final_profile) << "run " << run;
-  EXPECT_EQ(a.best_profile, b.best_profile) << "run " << run;
-  // Bitwise: the batched drivers execute the SAME lane code on the SAME
-  // streams, so even the floating-point accumulations must match exactly.
-  EXPECT_EQ(a.final_objective, b.final_objective) << "run " << run;
-  EXPECT_EQ(a.best_objective, b.best_objective) << "run " << run;
-  EXPECT_EQ(a.accepted, b.accepted) << "run " << run;
-  EXPECT_EQ(a.iterations, b.iterations) << "run " << run;
-  EXPECT_EQ(a.evaluations, b.evaluations) << "run " << run;
-}
-
-// K-lane lockstep batch vs K scalar runs on the same keyed streams: byte
-// identical, for the exact objective (shared payoff block) and the hardware
-// two-phase path (generic lane wrapper).
-void check_batch_matches_scalar(const EvaluatorFactory& factory,
-                                std::size_t lanes) {
-  const std::uint32_t intervals = 12;
-  SaOptions opts;
-  opts.iterations = 600;
-  const util::Rng root(0xBA7C);
-
-  // Scalar reference sweep, one run at a time.
-  std::vector<SaRunResult> ref;
-  for (std::size_t r = 0; r < lanes; ++r) {
-    auto obj = factory.create(instance_key(r));
-    util::Rng rng = root.split(stream_key(r));
-    ref.push_back(simulated_annealing(*obj, intervals, opts, rng));
+// Unit u of a prepared independent-mode job is exactly one scalar run on
+// instance key 2u and stream key 2u + 1 of the job's root seed: bitwise, for
+// the exact objective and the hardware two-phase path.
+void check_units_are_keyed_scalar_runs(const SolveRequest& req,
+                                       const EvaluatorFactory& factory) {
+  const std::unique_ptr<PreparedJob> job =
+      SolverRegistry::global().at(req.backend).prepare(req);
+  ASSERT_EQ(job->num_units(), req.runs);
+  const util::Rng root(req.seed);
+  for (std::size_t u = 0; u < req.runs; ++u) {
+    auto objective = factory.create(instance_key(u));
+    util::Rng rng = root.split(stream_key(u));
+    const SaRunResult ref =
+        simulated_annealing(*objective, req.intervals, req.sa, rng);
+    const std::vector<SolveSample> out = job->run_unit(u);
+    ASSERT_EQ(out.size(), 1u) << "unit " << u;
+    EXPECT_EQ(out[0].profile, ref.final_profile) << "unit " << u;
+    EXPECT_EQ(out[0].objective, ref.final_objective) << "unit " << u;
+    EXPECT_EQ(out[0].p, ref.final_profile.p.to_distribution()) << "unit " << u;
+    EXPECT_EQ(out[0].q, ref.final_profile.q.to_distribution()) << "unit " << u;
   }
-
-  std::vector<std::uint64_t> keys(lanes);
-  std::vector<util::Rng> rngs;
-  for (std::size_t r = 0; r < lanes; ++r) {
-    keys[r] = instance_key(r);
-    rngs.push_back(root.split(stream_key(r)));
-  }
-  auto batch = factory.create_batched(keys.data(), lanes);
-  ASSERT_EQ(batch->lanes(), lanes);
-  const auto res = simulated_annealing_batch(*batch, intervals, opts,
-                                             rngs.data());
-  ASSERT_EQ(res.size(), lanes);
-  for (std::size_t r = 0; r < lanes; ++r) expect_same_result(res[r], ref[r], r);
 }
 
-TEST(BatchedAnneal, ExactBatchMatchesScalarRuns) {
-  ExactEvaluatorFactory factory(game::bird_game());
-  for (const std::size_t k : {1, 4, 8}) check_batch_matches_scalar(factory, k);
+SolveRequest key_scheme_request(const char* backend) {
+  SolveRequest req(game::bird_game());
+  req.backend = backend;
+  req.runs = 5;
+  req.seed = 0xBA7C;
+  req.sa.iterations = 600;
+  return req;
 }
 
-TEST(BatchedAnneal, TwoPhaseBatchMatchesScalarRuns) {
-  HardwareEvaluatorFactory factory(game::bird_game(), 12, TwoPhaseConfig{},
-                                   util::Rng(0xFE0));
-  for (const std::size_t k : {1, 4, 8}) check_batch_matches_scalar(factory, k);
+TEST(SaUnits, ExactUnitsAreKeyedScalarRuns) {
+  const SolveRequest req = key_scheme_request("exact-sa");
+  check_units_are_keyed_scalar_runs(req, ExactEvaluatorFactory(req.game));
 }
 
-TEST(BatchedAnneal, BatchedExactSharesOnePayoffBlock) {
-  auto shared =
-      std::make_shared<const ExactMaxQubo::Shared>(game::battle_of_sexes());
-  BatchedExactMaxQubo batch(shared, 4);
-  EXPECT_EQ(batch.lanes(), 4u);
-  for (std::size_t l = 0; l < 4; ++l)
-    EXPECT_EQ(&batch.lane(l).game(), &shared->game);
+TEST(SaUnits, HardwareUnitsAreKeyedScalarRuns) {
+  const SolveRequest req = key_scheme_request("hardware-sa");
+  check_units_are_keyed_scalar_runs(
+      req, HardwareEvaluatorFactory(req.game, req.intervals, req.hardware,
+                                    util::Rng(req.seed)));
+}
+
+TEST(SaUnits, ExactInstancesShareOnePayoffBlock) {
+  ExactEvaluatorFactory factory(game::battle_of_sexes());
+  const auto a = factory.create(instance_key(0));
+  const auto b = factory.create(instance_key(1));
+  EXPECT_EQ(&a->game(), &b->game());
+  EXPECT_EQ(&a->game(), &factory.game());
 }
 
 void expect_same_report(const SolveReport& a, const SolveReport& b) {
@@ -112,26 +103,9 @@ SolveRequest base_request(const char* backend) {
   return req;
 }
 
-// The lane count is a pure throughput knob: any batch_lanes value produces
-// the byte-identical report, through the full backend path.
-TEST(BatchedAnneal, BackendReportInvariantInBatchLanes) {
-  for (const char* backend : {"exact-sa", "hardware-sa"}) {
-    SolveRequest req = base_request(backend);
-    req.sa.batch_lanes = 1;
-    const SolveReport unbatched =
-        SolverRegistry::global().at(backend).solve(req);
-    for (const std::size_t k : {2, 8, 16}) {
-      req.sa.batch_lanes = k;
-      const SolveReport batched =
-          SolverRegistry::global().at(backend).solve(req);
-      expect_same_report(unbatched, batched);
-    }
-  }
-}
-
 // SIMD dispatch must be invisible: a scalar-forced solve reproduces the
 // vectorized solve byte for byte.
-TEST(BatchedAnneal, BackendReportInvariantUnderForcedScalar) {
+TEST(SaUnits, BackendReportInvariantUnderForcedScalar) {
   for (const char* backend : {"exact-sa", "hardware-sa"}) {
     const SolveRequest req = base_request(backend);
     ASSERT_TRUE(simd::force_level(simd::IsaLevel::kScalar));
@@ -142,7 +116,7 @@ TEST(BatchedAnneal, BackendReportInvariantUnderForcedScalar) {
   }
 }
 
-TEST(BatchedAnneal, ReplicaExchangeIsDeterministic) {
+TEST(ReplicaExchange, ReplicaExchangeIsDeterministic) {
   SolveRequest req = base_request("exact-sa");
   req.sa.mode = SaMode::kReplicaExchange;
   req.runs = 4;  // 4 ensembles
@@ -156,7 +130,7 @@ TEST(BatchedAnneal, ReplicaExchangeIsDeterministic) {
 // equilibria sit behind high barriers. The hot replicas keep tunnelling, the
 // cold replica polishes — plain SA at this budget solves (almost) nothing
 // (see bench_fig10_time_to_solution --re for the full iterations ladder).
-TEST(BatchedAnneal, ReplicaExchangeSolvesCoordinationGame) {
+TEST(ReplicaExchange, ReplicaExchangeSolvesCoordinationGame) {
   SolveRequest req(game::coordination(16));
   req.backend = "exact-sa";
   req.runs = 6;
@@ -171,7 +145,7 @@ TEST(BatchedAnneal, ReplicaExchangeSolvesCoordinationGame) {
   EXPECT_EQ(rep.valid_count, 6u);
 }
 
-TEST(BatchedAnneal, ReplicaExchangeChangesResultsVsIndependent) {
+TEST(ReplicaExchange, ReplicaExchangeChangesResultsVsIndependent) {
   SolveRequest req = base_request("exact-sa");
   const SolveReport ind = SolverRegistry::global().at("exact-sa").solve(req);
   req.sa.mode = SaMode::kReplicaExchange;
@@ -187,7 +161,7 @@ TEST(BatchedAnneal, ReplicaExchangeChangesResultsVsIndependent) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(BatchedAnneal, ReplicaExchangeRequestValidation) {
+TEST(ReplicaExchange, ReplicaExchangeRequestValidation) {
   SolveRequest req = base_request("exact-sa");
   req.sa.mode = SaMode::kReplicaExchange;
   req.sa.replicas = 1;
@@ -202,29 +176,30 @@ TEST(BatchedAnneal, ReplicaExchangeRequestValidation) {
   EXPECT_NO_THROW(validate_request(req));
 }
 
-// The direct replica-exchange driver: swap moves must preserve lane
+// The direct replica-exchange driver: swap moves must preserve replica
 // bookkeeping invariants and respond to the ladder.
-TEST(BatchedAnneal, ReplicaExchangeDriverRunsAllReplicas) {
+TEST(ReplicaExchange, ReplicaExchangeDriverRunsAllReplicas) {
   ExactEvaluatorFactory factory(game::bird_game());
   const std::size_t r = 4;
-  std::vector<std::uint64_t> keys(r);
+  std::vector<std::unique_ptr<ObjectiveEvaluator>> owned;
+  std::vector<ObjectiveEvaluator*> replicas;
   std::vector<util::Rng> rngs;
   const util::Rng root(0x4E);
   for (std::size_t l = 0; l < r; ++l) {
-    keys[l] = instance_key(l);
+    owned.push_back(factory.create(instance_key(l)));
+    replicas.push_back(owned.back().get());
     rngs.push_back(root.split(stream_key(l)));
   }
   util::Rng swap_rng = root.split(stream_key(r) + 1);
-  auto batch = factory.create_batched(keys.data(), r);
   SaOptions opts;
   opts.iterations = 400;
   opts.replicas = r;
-  const auto res = simulated_annealing_replica_exchange(*batch, 12, opts,
+  const auto res = simulated_annealing_replica_exchange(replicas, 12, opts,
                                                         rngs.data(), swap_rng);
   ASSERT_EQ(res.size(), r);
-  for (const SaRunResult& lane : res) {
-    EXPECT_EQ(lane.iterations, opts.iterations);
-    EXPECT_LE(lane.best_objective, lane.final_objective + 1e-12);
+  for (const SaRunResult& replica : res) {
+    EXPECT_EQ(replica.iterations, opts.iterations);
+    EXPECT_LE(replica.best_objective, replica.final_objective + 1e-12);
   }
 }
 

@@ -538,6 +538,50 @@ TEST(ServeEndToEnd, MalformedRequestsGetStructuredErrors) {
   EXPECT_TRUE(ok.at("ok").as_bool());
 }
 
+// "batch_lanes" is accepted for wire compatibility and ignored: it is
+// outside the cache key, so it cannot split one solve into two entries, but
+// a malformed value is still a typed bad_request.
+TEST(ServeEndToEnd, BatchLanesIsTypeCheckedThenIgnored) {
+  ServerFixture fixture;
+  TestClient client;
+  client.connect_to(fixture.port());
+  const game::BimatrixGame g = game::bird_game();
+  auto report_bytes = [](const std::string& response) {
+    const std::size_t at = response.find(",\"report\":");
+    EXPECT_NE(at, std::string::npos) << response;
+    return at == std::string::npos ? std::string() : response.substr(at);
+  };
+
+  std::string with_field, without_field;
+  client.send_line(solve_line(g, 1, "exact-sa", 6, 300, 77,
+                              ",\"batch_lanes\":3"));
+  ASSERT_TRUE(client.recv_line(with_field));
+  client.send_line(solve_line(g, 2, "exact-sa", 6, 300, 77));
+  ASSERT_TRUE(client.recv_line(without_field));
+  const util::Json cold = util::Json::parse(with_field);
+  const util::Json warm = util::Json::parse(without_field);
+  ASSERT_TRUE(cold.at("ok").as_bool()) << with_field;
+  ASSERT_TRUE(warm.at("ok").as_bool()) << without_field;
+  EXPECT_FALSE(cold.at("cached").as_bool());
+  EXPECT_TRUE(warm.at("cached").as_bool());
+  EXPECT_EQ(report_bytes(without_field), report_bytes(with_field));
+
+  const std::pair<const char*, const char*> malformed[] = {
+      {"-1", "\"batch_lanes\" must be a non-negative integer <= 2^53"},
+      {"\"x\"", "\"batch_lanes\" must be a number"}};
+  int id = 3;
+  for (const auto& [value, message] : malformed) {
+    const util::Json j =
+        client.request(solve_line(g, id, "exact-sa", 6, 300, 77,
+                                  std::string(",\"batch_lanes\":") + value));
+    ASSERT_FALSE(j.at("ok").as_bool()) << value;
+    EXPECT_EQ(j.at("id").as_number(), static_cast<double>(id)) << value;
+    EXPECT_EQ(j.at("error").at("code").as_string(), "bad_request") << value;
+    EXPECT_EQ(j.at("error").at("message").as_string(), message) << value;
+    ++id;
+  }
+}
+
 TEST(ServeEndToEnd, ZeroIterationsIsABadRequestForSaBackends) {
   // Submit-time validation: an SA backend with zero iterations is the
   // client's mistake, answered with a typed error before any worker (or a
@@ -863,8 +907,8 @@ TEST(ServeFraming, MalformedFrameHeaderGetsStructuredErrorThenClose) {
 // ---- anytime progress streaming ---------------------------------------------
 
 TEST(ServeAnytime, ProgressFramesStreamBeforeTheFinalReport) {
-  // One service worker + one-lane batches make the unit schedule serial:
-  // 4 runs → 4 units → exactly one interim frame per non-final unit.
+  // One service worker makes the unit schedule serial: 4 runs → 4 units →
+  // exactly one interim frame per non-final unit.
   ServeOptions options;
   options.service_threads = 1;
   ServerFixture fixture(options);
@@ -872,8 +916,8 @@ TEST(ServeAnytime, ProgressFramesStreamBeforeTheFinalReport) {
   client.connect_to(fixture.port());
 
   const game::BimatrixGame g = game::bird_game();
-  client.send_line(solve_line(g, 1, "exact-sa", 4, 300, 555,
-                              ",\"progress\":true,\"batch_lanes\":1"));
+  client.send_line(
+      solve_line(g, 1, "exact-sa", 4, 300, 555, ",\"progress\":true"));
 
   int progress_seen = 0;
   double last_completed = 0.0;
@@ -905,8 +949,7 @@ TEST(ServeAnytime, ProgressFramesStreamBeforeTheFinalReport) {
   // A plain solve (no "progress") streams nothing extra — the cached replay
   // is its immediate, single response.
   const util::Json replay =
-      client.request(solve_line(g, 2, "exact-sa", 4, 300, 555,
-                                ",\"batch_lanes\":1"));
+      client.request(solve_line(g, 2, "exact-sa", 4, 300, 555));
   EXPECT_TRUE(replay.at("cached").as_bool());
 
   fixture.stop();

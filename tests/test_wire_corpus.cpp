@@ -122,7 +122,6 @@ std::vector<Labeled> corpus_reports() {
   fb.runs = 6;
   fb.seed = 5;
   fb.sa.iterations = 300;
-  fb.sa.batch_lanes = 1;  // one unit per run, so faults hit some runs only
   fb.fault.seed = 5;
   fb.fault.unit_failure_rate = 0.5;
   add("resilient-fallback", std::move(fb));
