@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): cost of the simulator primitives — the
-// two-phase hardware evaluation, exact objective, crossbar reads, WTA
-// reductions, annealer sweeps, the simd:: kernel layer at each ISA level, and
-// the lockstep replica-exchange SA driver.
+// two-phase hardware evaluation, exact objective, crossbar reads, hardware
+// evaluator creation per paper game, WTA reductions, annealer sweeps, the
+// simd:: kernel layer at each ISA level, and the lockstep replica-exchange SA
+// driver.
 //
 // Supports the shared `--json <path>` flag (BENCH_micro_vmv.json) alongside
 // the usual --benchmark_* flags.
@@ -178,6 +179,25 @@ void BM_CrossbarProgramming(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarProgramming)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+// Evaluator creation per paper game (Arg = index into paper_benchmarks():
+// Battle of the Sexes, Bird, Modified PD) as one "hardware-sa" run pays it:
+// both arrays programmed with fresh device variability, WTA and ADC built.
+// Each iteration uses a new instance key, as successive runs do.
+void BM_HardwareEvaluatorCreate(benchmark::State& state) {
+  const auto inst = game::paper_benchmarks()[static_cast<std::size_t>(
+      state.range(0))];
+  const core::HardwareEvaluatorFactory factory(
+      inst.game, inst.intervals, core::TwoPhaseConfig{}, util::Rng(12));
+  state.SetLabel(inst.game.name());
+  std::uint64_t key = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(factory.create(2 * key++));
+}
+BENCHMARK(BM_HardwareEvaluatorCreate)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
 // ---- simd:: kernel layer, SIMD-vs-scalar axis -------------------------------
 // Arg(0/1/2) selects the forced ISA level (scalar/avx2/avx512); levels the
 // host cannot run are skipped. All levels produce identical bits — these rows
@@ -253,6 +273,23 @@ void BM_SimdOffCellExp10(benchmark::State& state) {
   leave_level();
 }
 BENCHMARK(BM_SimdOffCellExp10)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_SimdOnCell(benchmark::State& state) {
+  if (!enter_level(state, state.range(0))) return;
+  constexpr std::size_t n = 256;
+  util::Rng rng(24);
+  std::vector<double> zv(n), zr(n), sum(n, 0.0);
+  simd::fill_normals(rng, zv.data(), n);
+  simd::fill_normals(rng, zr.data(), n);
+  const simd::OnCellParams p{1e-6, -2e-6, -1e-11, 0.05, 0.1, 1e4, 1.0, 0.0};
+  for (auto _ : state) {
+    simd::on_cell_accumulate(sum.data(), zv.data(), zr.data(), nullptr, n, p);
+    benchmark::DoNotOptimize(sum.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  leave_level();
+}
+BENCHMARK(BM_SimdOnCell)->Arg(0)->Arg(1)->Arg(2);
 
 // ---- Replica exchange: one lockstep ensemble of scalar evaluators ----------
 // Reported time is for R replicas x 200 iterations; items/s is

@@ -244,6 +244,7 @@ void NashServer::init_telemetry() {
   solve_wall_ = &registry_.histogram("cnash_solve_wall_seconds");
   store_get_ = &registry_.histogram("cnash_store_get_seconds");
   store_put_ = &registry_.histogram("cnash_store_put_seconds");
+  gate_wait_ = &registry_.histogram("cnash_gate_wait_seconds");
   store_put_failures_ = &registry_.counter("cnash_store_put_failures_total");
   re_swap_proposals_ = &registry_.counter("cnash_re_swap_proposals_total");
   re_swap_accepts_ = &registry_.counter("cnash_re_swap_accepts_total");
@@ -257,7 +258,7 @@ void NashServer::collect_mirrors() {
   AdmissionStats as;
   std::size_t pending = 0;
   {
-    std::lock_guard<std::mutex> lock(gate_);
+    const auto lock = lock_gate();
     cs = cache_.stats();
     as = admission_.stats();
     pending = pending_.size();
@@ -422,8 +423,18 @@ void NashServer::begin_drain() {
   }
 }
 
+std::unique_lock<std::mutex> NashServer::lock_gate() const {
+  const auto begin = std::chrono::steady_clock::now();
+  std::unique_lock<std::mutex> lock(gate_);
+  if (gate_wait_ != nullptr)
+    gate_wait_->record(std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count());
+  return lock;
+}
+
 bool NashServer::pending_empty() {
-  std::lock_guard<std::mutex> lock(gate_);
+  const auto lock = lock_gate();
   return pending_.empty();
 }
 
@@ -996,7 +1007,7 @@ void NashServer::handle_solve(Loop& loop, Connection& conn,
   std::optional<Stage> cache_stage;
   bool read_store = false;
   {
-    std::lock_guard<std::mutex> lock(gate_);
+    const auto lock = lock_gate();
     outcome = Outcome::kSubmit;
     if (!request.no_cache) {
       cache_stage.emplace(trace_, "cache", trace_id, stage_cache_lookup_);
@@ -1013,7 +1024,7 @@ void NashServer::handle_solve(Loop& loop, Connection& conn,
       Stage stage(trace_, "store", trace_id, /*hist=*/nullptr);
       stored = cache_.fetch_stored(canonical.key);
     }
-    std::lock_guard<std::mutex> lock(gate_);
+    const auto lock = lock_gate();
     if (stored) {
       cache_.insert_bytes(canonical.key, stored->report_json,
                           stored->footprint);
@@ -1081,7 +1092,7 @@ void NashServer::handle_solve(Loop& loop, Connection& conn,
 
 void NashServer::deliver_progress(InFlight* entry,
                                   const core::ProgressSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(gate_);
+  const auto lock = lock_gate();
   // Only deliver while the job is still registered: a snapshot racing the
   // final report (posted when the entry is removed) is dropped, so a waiter
   // never sees progress after its final frame. The pointer is compared, not
@@ -1155,7 +1166,7 @@ void NashServer::complete_solve(InFlight* entry, core::SolveReport&& report,
     }
   }
 
-  std::lock_guard<std::mutex> lock(gate_);
+  const auto lock = lock_gate();
   const auto it = std::find_if(
       pending_.begin(), pending_.end(),
       [entry](const std::unique_ptr<InFlight>& p) { return p.get() == entry; });
@@ -1216,7 +1227,7 @@ util::Json NashServer::status_payload() {
   status.set("connections",
              connections_.load(std::memory_order_relaxed));
   {
-    std::lock_guard<std::mutex> lock(gate_);
+    const auto lock = lock_gate();
     status.set("pending_solves", pending_.size());
   }
   status.set("serve_threads", loops_.size());
@@ -1246,7 +1257,7 @@ util::Json NashServer::stats_payload() {
   util::Json stats = util::Json::object();
 
   {
-    std::lock_guard<std::mutex> lock(gate_);
+    const auto lock = lock_gate();
     util::Json cache = util::Json::object();
     const CacheStats& cs = cache_.stats();
     cache.set("hits", cs.hits);

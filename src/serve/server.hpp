@@ -141,11 +141,11 @@ class NashServer {
   // safe while loops are running: cache_stats() / admission_stats() snapshot
   // by value under the gate, served_stats() is an atomic-counter snapshot.
   CacheStats cache_stats() const {
-    std::lock_guard<std::mutex> lock(gate_);
+    const auto lock = lock_gate();
     return cache_.stats();
   }
   AdmissionStats admission_stats() const {
-    std::lock_guard<std::mutex> lock(gate_);
+    const auto lock = lock_gate();
     return admission_.stats();
   }
   ServedStats served_stats() const;
@@ -230,6 +230,9 @@ class NashServer {
   /// The one cross-loop mutex: cache + admission + in-flight registry.
   /// mutable: the by-value stats snapshots are const reads.
   mutable std::mutex gate_;
+  /// Takes gate_; every acquisition goes through here so the wait is
+  /// recorded in cnash_gate_wait_seconds.
+  std::unique_lock<std::mutex> lock_gate() const;
   Counters counters_;
 
   /// Telemetry. Declared before service_ (which holds pointers into both) so
@@ -248,6 +251,9 @@ class NashServer {
   obs::Histogram* solve_wall_ = nullptr;
   obs::Histogram* store_get_ = nullptr;
   obs::Histogram* store_put_ = nullptr;
+  /// Time spent waiting to take gate_, at every acquisition (the Stage
+  /// timers start only once it is held).
+  obs::Histogram* gate_wait_ = nullptr;
   obs::Counter* store_put_failures_ = nullptr;
   obs::Counter* re_swap_proposals_ = nullptr;
   obs::Counter* re_swap_accepts_ = nullptr;

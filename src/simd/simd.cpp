@@ -133,21 +133,25 @@ double max_value(const double* x, std::size_t n) {
 }
 
 void fill_normals(util::Rng& rng, double* out, std::size_t n) {
-  // Draw raw uniforms serially (the generator is inherently sequential),
-  // then hand whole chunks of pairs to the vectorized Box-Muller kernel.
+  // Draw raw uniforms serially in bulk (the generator is inherently
+  // sequential), then hand whole chunks of pairs to the vectorized
+  // Box-Muller kernel, which writes them straight into `out`. An odd n ends
+  // with one more pair whose sine half is dropped.
   constexpr std::size_t kPairChunk = 128;
   std::uint64_t raw[2 * kPairChunk];
-  double vals[2 * kPairChunk];
   const KernelTable& k = active();
-  std::size_t produced = 0;
-  while (produced < n) {
-    const std::size_t want = n - produced;
-    const std::size_t pairs = std::min(kPairChunk, (want + 1) / 2);
-    for (std::size_t t = 0; t < 2 * pairs; ++t) raw[t] = rng();
-    k.normal_pairs(raw, vals, pairs);
-    const std::size_t take = std::min(want, 2 * pairs);
-    std::copy_n(vals, take, out + produced);
-    produced += take;
+  const std::size_t full = n / 2;
+  for (std::size_t done = 0; done < full;) {
+    const std::size_t pairs = std::min(kPairChunk, full - done);
+    rng.fill(raw, 2 * pairs);
+    k.normal_pairs(raw, out + 2 * done, pairs);
+    done += pairs;
+  }
+  if (n % 2 != 0) {
+    double last[2];
+    rng.fill(raw, 2);
+    k.normal_pairs(raw, last, 1);
+    out[n - 1] = last[0];
   }
 }
 

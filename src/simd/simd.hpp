@@ -78,7 +78,12 @@ double max_value(const double* x, std::size_t n);
 
 /// Fills out[0..n) with standard normals via batched Box-Muller on its own
 /// polynomial log/sin/cos (bit-identical at every level — unlike libm).
-/// Consumes exactly 2*ceil(n/2) raw 64-bit draws from `rng`, in order.
+/// Consumes exactly 2*ceil(n/2) raw 64-bit draws from `rng`, in order; they
+/// are taken a chunk at a time through util::Rng::fill, whose loop keeps the
+/// generator state in registers rather than calling Rng::operator() and
+/// reloading it per draw. out[i] depends only on raw draws 2*floor(i/2) and
+/// 2*floor(i/2)+1, so a shorter call yields a prefix of a longer one's
+/// values, and Rng::discard can stand in for the draws of an unread tail.
 /// NOTE: this is a different (but equally exact) variate stream than repeated
 /// util::Rng::normal() calls.
 void fill_normals(util::Rng& rng, double* out, std::size_t n);

@@ -16,6 +16,20 @@ namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+/// One xoshiro256++ step on a state the caller keeps in locals.
+inline std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1,
+                          std::uint64_t& s2, std::uint64_t& s3) {
+  const std::uint64_t result = rotl(s0 + s3, 23) + s0;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = rotl(s3, 45);
+  return result;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -24,15 +38,19 @@ Rng::Rng(std::uint64_t seed) {
 }
 
 Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
+  return step(s_[0], s_[1], s_[2], s_[3]);
+}
+
+void Rng::fill(std::uint64_t* out, std::size_t n) {
+  std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+  for (std::size_t i = 0; i < n; ++i) out[i] = step(s0, s1, s2, s3);
+  s_ = {s0, s1, s2, s3};
+}
+
+void Rng::discard(std::uint64_t n) {
+  std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+  for (std::uint64_t i = 0; i < n; ++i) step(s0, s1, s2, s3);
+  s_ = {s0, s1, s2, s3};
 }
 
 double Rng::uniform() {

@@ -7,6 +7,7 @@
 // reproducible from a single 64-bit seed.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace cnash::util {
@@ -25,6 +26,14 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   result_type operator()();
+
+  /// Writes the next n raw draws to out[0..n) — exactly the values n calls
+  /// of operator() would return, in order — with the state held in registers
+  /// for the whole loop instead of reloaded per draw.
+  void fill(std::uint64_t* out, std::size_t n);
+  /// Advances the stream by n raw draws, as n discarded operator() calls
+  /// would. Leaves the cached Box–Muller normal untouched.
+  void discard(std::uint64_t n);
 
   /// Uniform double in [0, 1).
   double uniform();

@@ -82,6 +82,14 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
   // — the fast-vs-exact statistical-closeness contract is preserved. The
   // ideal and fault-injection configurations keep the legacy per-cell loop
   // (they draw bernoullis interleaved per cell).
+  //
+  // Only ON planes read zr, and unary/greedy coding makes them a prefix:
+  // cell_level(value, k) > 0 exactly for k < kon. So only the first
+  // bundles*kon zr deviates go through Box-Muller, and Rng::discard skips the
+  // raw draws the rest would have taken. Every block still advances `rng` by
+  // exactly 2*ceil(bundles*t/2) draws for zv and as many for zr (plus the
+  // same again for zm when an MLC level is stored), so the zm draws, every
+  // later block and every later user of `rng` see the stream they always did.
   const bool batched = !config_.ideal && config_.stuck_off_rate == 0.0 &&
                        config_.stuck_on_rate == 0.0;
   const std::size_t bundles =
@@ -101,13 +109,17 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
       const std::uint32_t value = mapping_.element(i, j);
       if (batched) {
         bool need_mlc = false;
+        std::uint32_t kon = 0;
         for (std::uint32_t k = 0; k < t; ++k) {
           levels[k] = mapping_.cell_level(value, k);
+          if (levels[k] > 0) kon = k + 1;
           if (var.sigma_mlc_rel > 0.0 && levels[k] > 0 && levels[k] < per_cell)
             need_mlc = true;
         }
         simd::fill_normals(rng, zv.data(), bundles * t);
-        simd::fill_normals(rng, zr.data(), bundles * t);
+        simd::fill_normals(rng, zr.data(), bundles * kon);
+        rng.discard(2 * ((bundles * t + 1) / 2) -
+                    2 * ((bundles * kon + 1) / 2));
         if (need_mlc) {
           zm.resize(bundles * t);
           simd::fill_normals(rng, zm.data(), bundles * t);

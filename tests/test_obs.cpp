@@ -396,7 +396,7 @@ TEST(ServeObservability, MetricsMethodReturnsEveryInstrumentFamily) {
         "cnash_stage_render_seconds", "cnash_stage_flush_seconds",
         "cnash_request_handle_seconds", "cnash_solve_wall_seconds",
         "cnash_stage_prepare_seconds", "cnash_stage_unit_seconds",
-        "cnash_stage_queue_wait_seconds"})
+        "cnash_stage_queue_wait_seconds", "cnash_gate_wait_seconds"})
     EXPECT_NE(histograms.find(name), nullptr) << name;
 
   // The solved pair must be visible in the mirrors and stage histograms.
@@ -434,6 +434,30 @@ TEST(ServeObservability, MetricsMethodReturnsEveryInstrumentFamily) {
       roundtrip(client, "{\"method\":\"metrics\",\"format\":\"xml\"}");
   EXPECT_FALSE(bad.at("ok").as_bool());
   EXPECT_EQ(bad.at("error").at("code").as_string(), "bad_request");
+}
+
+TEST(ServeObservability, GateWaitIsTimedAtEveryAcquisition) {
+  ObsServerFixture fixture;
+  LineClient client;
+  ASSERT_TRUE(client.connect_to("127.0.0.1", fixture.port()));
+  const auto gate_waits = [&client] {
+    const util::Json metrics =
+        roundtrip(client, "{\"method\":\"metrics\"}").at("metrics");
+    return metrics.at("histograms").at("cnash_gate_wait_seconds");
+  };
+  const double before = gate_waits().at("count").as_number();
+
+  // A miss takes the gate for its lookup and again to publish the solved
+  // report; the hit that follows takes it for its lookup.
+  const game::BimatrixGame g = game::stag_hunt();
+  for (int i = 0; i < 2; ++i) {
+    const util::Json r = roundtrip(client, solve_line(g, i));
+    ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();
+  }
+  const util::Json after = gate_waits();
+  EXPECT_GE(after.at("count").as_number(), before + 3.0);
+  EXPECT_GE(after.at("sum").as_number(), 0.0);
+  EXPECT_EQ(fixture.server().cache_stats().hits, 1u);
 }
 
 TEST(ServeObservability, ReplicaExchangeSwapRatesSurfaceInMetrics) {

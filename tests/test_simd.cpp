@@ -151,6 +151,26 @@ TEST(SimdKernels, FillNormalsBitIdenticalAcrossLevels) {
   }
 }
 
+// Crossbar programming transforms only a prefix of a block's deviates and
+// discards the raw draws of the rest: that must reproduce the full call's
+// prefix and leave the stream where the full call leaves it.
+TEST(SimdKernels, FillNormalsPrefixThenDiscardMatchesFullCall) {
+  for (const std::size_t n : {std::size_t{9}, std::size_t{300},
+                              std::size_t{1001}}) {
+    for (const std::size_t m : {std::size_t{0}, std::size_t{1}, n / 2,
+                                n - 1, n}) {
+      util::Rng full_rng(0xFEED + n), prefix_rng(0xFEED + n);
+      std::vector<double> full(n), prefix(m);
+      fill_normals(full_rng, full.data(), n);
+      fill_normals(prefix_rng, prefix.data(), m);
+      prefix_rng.discard(2 * ((n + 1) / 2) - 2 * ((m + 1) / 2));
+      full.resize(m);
+      expect_bitwise_equal(prefix, full, "prefix");
+      EXPECT_EQ(prefix_rng(), full_rng()) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
 TEST(SimdKernels, DeviceSamplingKernelsBitIdenticalAcrossLevels) {
   const std::size_t n = 333;
   util::Rng rng(0xD1CE);

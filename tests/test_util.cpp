@@ -133,6 +133,33 @@ TEST(Rng, KeyedSplitDependsOnParentState) {
   EXPECT_LT(same, 2);
 }
 
+// Draw counts that cover n = 0, 1, odd n, and n on both sides of the
+// 256-draw chunk simd::fill_normals requests at a time.
+constexpr std::size_t kBulkCounts[] = {0, 1, 7, 255, 256, 257, 1001};
+
+TEST(Rng, FillMatchesRepeatedCalls) {
+  for (const std::size_t n : kBulkCounts) {
+    Rng bulk(91), one(91);
+    std::vector<std::uint64_t> out(n + 1, 0);
+    bulk.fill(out.data(), n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], one()) << n;
+    EXPECT_EQ(out[n], 0u) << "fill wrote past n = " << n;
+    EXPECT_EQ(bulk(), one()) << n;
+  }
+}
+
+TEST(Rng, DiscardMatchesRepeatedCalls) {
+  for (const std::size_t n : kBulkCounts) {
+    Rng skipped(92), one(92);
+    // A cached Box-Muller deviate belongs to the caller, not the raw stream.
+    EXPECT_EQ(skipped.normal(), one.normal());
+    skipped.discard(n);
+    for (std::size_t i = 0; i < n; ++i) one();
+    EXPECT_EQ(skipped.normal(), one.normal()) << n;
+    EXPECT_EQ(skipped(), one()) << n;
+  }
+}
+
 TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);

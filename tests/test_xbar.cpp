@@ -150,6 +150,57 @@ TEST(Array, BadActivationThrows) {
   EXPECT_THROW(xb.read_vmv({1}, {0, 0}), std::invalid_argument);
 }
 
+// Programming a variability-on array draws a fixed number of raw values per
+// block, whatever it stores: 2*ceil(cells/2) for the V_TH deviates, as many
+// for the resistor deviates (even though OFF cells never read theirs), and as
+// many again for the MLC spread when the block stores an intermediate level.
+// Later blocks, arrays and users of the stream depend on that count.
+std::uint64_t full_draw_count(const CrossbarMapping& map,
+                              const ArrayConfig& cfg) {
+  const auto& g = map.geometry();
+  const std::uint64_t cells =
+      static_cast<std::uint64_t>(g.intervals) * g.intervals *
+      g.cells_per_element;
+  const std::uint64_t per_set = 2 * ((cells + 1) / 2);
+  const std::uint32_t per_cell = g.levels_per_cell - 1;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < g.n; ++i)
+    for (std::size_t j = 0; j < g.m; ++j) {
+      bool mlc = false;
+      for (std::uint32_t k = 0; k < g.cells_per_element; ++k) {
+        const std::uint32_t level = map.cell_level(map.element(i, j), k);
+        if (cfg.variability.sigma_mlc_rel > 0.0 && level > 0 &&
+            level < per_cell)
+          mlc = true;
+      }
+      total += (mlc ? 3 : 2) * per_set;
+    }
+  return total;
+}
+
+TEST(Array, ProgrammingConsumesFixedDrawCount) {
+  // Zero, maximum and mid elements; odd I and odd cells per element, so the
+  // I*I*t deviates of a block are odd and each set ends in a half-used pair.
+  const la::Matrix payoff{{0, 5, 2}, {3, 0, 5}};
+  struct Case {
+    const char* name;
+    std::uint32_t levels_per_cell;
+    bool fast_sampling;
+  };
+  for (const Case& c : {Case{"binary", 2, true}, Case{"mlc", 3, true},
+                        Case{"binary-exact", 2, false}}) {
+    CrossbarMapping map(payoff, 3, 0, c.levels_per_cell);
+    ASSERT_EQ(map.geometry().cells_per_element % 2, 1u) << c.name;
+    ArrayConfig cfg;
+    cfg.fast_sampling = c.fast_sampling;
+    const std::uint64_t draws = full_draw_count(map, cfg);
+    util::Rng rng(8), ref(8);
+    const ProgrammedCrossbar xb(std::move(map), cfg, rng);
+    for (std::uint64_t d = 0; d < draws; ++d) ref();
+    EXPECT_EQ(rng(), ref()) << c.name;
+  }
+}
+
 TEST(Adc, QuantizeReconstructWithinLsb) {
   AdcConfig cfg;
   cfg.bits = 8;
