@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "util/table.hpp"
@@ -28,13 +28,15 @@ int main(int argc, char** argv) {
           !game::QuantizedStrategy::representable(eq.q, intervals))
         mixed_on_grid = false;
     }
-    core::CNashConfig cfg;
-    cfg.intervals = intervals;
-    cfg.sa.iterations = 6000;
-    cfg.seed = 7000 + intervals;
-    core::CNashSolver solver(g, cfg);
+    core::SolveRequest req(g);
+    req.backend = "hardware-sa";
+    req.runs = runs;
+    req.intervals = intervals;
+    req.sa.iterations = 6000;
+    req.seed = 7000 + intervals;
     std::vector<core::CandidateSolution> cands;
-    for (const auto& o : solver.run(runs)) cands.push_back({o.p, o.q});
+    for (const auto& o : core::SolverService::shared().solve(req).samples)
+      cands.push_back({o.p, o.q});
     const auto r = core::classify(g, gt, cands, 1e-9);
     table.add_row({std::to_string(intervals), mixed_on_grid ? "yes" : "no",
                    core::percent(r.success_rate()),

@@ -16,7 +16,6 @@
 #include "bench_common.hpp"
 #include "core/anneal.hpp"
 #include "core/engine.hpp"
-#include "core/solver.hpp"
 #include "game/games.hpp"
 #include "qubo/annealer.hpp"
 #include "qubo/squbo_builder.hpp"

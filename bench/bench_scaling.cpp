@@ -23,24 +23,13 @@
 #include <thread>
 
 #include "bench_common.hpp"
-#include "core/engine.hpp"
+#include "chip/tiled_two_phase.hpp"
 #include "core/metrics.hpp"
 #include "core/timing.hpp"
 #include "game/random_games.hpp"
 #include "game/support_enum.hpp"
 #include "qubo/dwave_proxy.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-double seconds_to_run(cnash::core::SolverEngine& engine, std::size_t runs) {
-  const auto t0 = std::chrono::steady_clock::now();
-  engine.run(runs);
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace cnash;
@@ -72,22 +61,23 @@ int main(int argc, char** argv) {
     const std::uint32_t intervals = 24;  // random-diagonal mixed NE rarely sit
     // exactly on this grid, so success counts eps-NE with eps = the grid's
     // intrinsic payoff resolution (range / I).
-    core::EngineOptions opts;
-    opts.intervals = intervals;
-    opts.sa.iterations = 4000 * n;
-    opts.seed = 6000 + n;
-    opts.threads = cli.threads;
-    auto factory = std::make_shared<core::HardwareEvaluatorFactory>(
-        g, intervals, core::TwoPhaseConfig{}, util::Rng(opts.seed));
-    const xbar::MappingGeometry geom = factory->geometry().m;
-    core::SolverEngine engine(factory, opts);
+    core::SolveRequest req(g);
+    req.backend = "hardware-sa";
+    req.runs = runs;
+    req.intervals = intervals;
+    req.sa.iterations = 4000 * n;
+    req.seed = 6000 + n;
+    req.max_parallelism = cli.threads;
+    const xbar::MappingGeometry geom =
+        chip::mapped_geometry(g, intervals, req.hardware).m;
     std::vector<core::CandidateSolution> cands;
-    for (const auto& o : engine.run(runs)) cands.push_back({o.p, o.q});
+    for (const auto& o : core::SolverService::shared().solve(req).samples)
+      cands.push_back({o.p, o.q});
     const double grid_eps =
         (g.payoff1().max_element() - g.payoff1().min_element()) / intervals;
     const auto r = core::classify(g, gt, cands, grid_eps, 2.0 / intervals);
 
-    const double tts = timing.time_to_solution_s(geom, opts.sa.iterations,
+    const double tts = timing.time_to_solution_s(geom, req.sa.iterations,
                                                  r.success_rate());
 
     util::Rng rng(6100 + n);
@@ -114,23 +104,17 @@ int main(int argc, char** argv) {
       "Shape: C-Nash success decays gently with size while the S-QUBO proxy\n"
       "falls off a cliff once the slack encoding outgrows its precision.\n\n");
 
-  // ---- Axis 2: engine thread scaling. -------------------------------------
-  // A fixed batch of hardware-evaluator runs, timed at growing worker counts.
-  // Outcomes are bit-identical at every thread count (keyed per-run RNG
-  // streams), so the speedup column is a pure wall-clock measurement.
+  // ---- Axis 2: service thread scaling. ------------------------------------
+  // A fixed batch of hardware-evaluator runs, timed at growing per-job
+  // in-flight caps. Outcomes are bit-identical at every cap (keyed per-run
+  // RNG streams), so the speedup column is a pure wall-clock measurement.
   const std::size_t batch = 64;
-  const game::BimatrixGame g = game::bird_game();
-  auto make_engine = [&](std::size_t threads) {
-    core::EngineOptions opts;
-    opts.intervals = 12;
-    opts.sa.iterations = 4000;
-    opts.seed = 0x5CA1E;
-    opts.threads = threads;
-    return core::SolverEngine(
-        std::make_shared<core::HardwareEvaluatorFactory>(
-            g, opts.intervals, core::TwoPhaseConfig{}, util::Rng(opts.seed)),
-        opts);
-  };
+  core::SolveRequest batch_req(game::bird_game());
+  batch_req.backend = "hardware-sa";
+  batch_req.runs = batch;
+  batch_req.intervals = 12;
+  batch_req.sa.iterations = 4000;
+  batch_req.seed = 0x5CA1E;
 
   std::size_t max_threads = cli.threads;
   if (max_threads == 0) {
@@ -147,8 +131,12 @@ int main(int argc, char** argv) {
   sweep.push_back(max_threads);  // always measure the requested maximum
   double t1 = 0.0;
   for (const std::size_t threads : sweep) {
-    auto engine = make_engine(threads);
-    const double dt = seconds_to_run(engine, batch);
+    batch_req.max_parallelism = threads;
+    const auto t0 = std::chrono::steady_clock::now();
+    core::SolverService::shared().solve(batch_req);
+    const double dt = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
     if (threads == 1) t1 = dt;
     scaling.add_row({std::to_string(threads), util::Table::num(dt, 3),
                      util::Table::num(t1 / dt, 2) + "X",

@@ -11,7 +11,7 @@
 #include <set>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "qubo/dwave_proxy.hpp"
@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   using namespace cnash;
 
-  std::size_t threads = 0;  // 0 = one engine worker per hardware thread
+  std::size_t threads = 0;  // 0 = one run per service worker
   for (int a = 1; a + 1 < argc; ++a)
     if (!std::strcmp(argv[a], "--threads"))
       threads = std::strtoul(argv[a + 1], nullptr, 10);
@@ -38,14 +38,16 @@ int main(int argc, char** argv) {
   const auto dwave = core::classify(g, ground_truth, dwave_cands, 1e-9);
 
   // --- C-Nash ---------------------------------------------------------------
-  core::CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 15000;
-  cfg.seed = 99;
-  cfg.threads = threads;
-  core::CNashSolver solver(g, cfg);
+  core::SolveRequest req(g);
+  req.backend = "hardware-sa";
+  req.runs = 300;
+  req.intervals = 12;
+  req.sa.iterations = 15000;
+  req.seed = 99;
+  req.max_parallelism = threads;
   std::vector<core::CandidateSolution> cnash_cands;
-  for (const auto& o : solver.run(300)) cnash_cands.push_back({o.p, o.q});
+  for (const auto& o : core::SolverService::shared().solve(req).samples)
+    cnash_cands.push_back({o.p, o.q});
   const auto cnash = core::classify(g, ground_truth, cnash_cands, 1e-9);
 
   util::Table table({"equilibrium", "type", "S-QUBO proxy", "C-Nash"});

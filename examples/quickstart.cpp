@@ -2,11 +2,12 @@
 //
 //   $ ./quickstart [--threads N]
 //
-// Programs the FeFET bi-crossbar with the payoff matrices, runs a batch of
-// two-phase simulated-annealing descents through the SolverEngine (spread
-// across N worker threads — same results for any N), and prints every
-// distinct Nash equilibrium found (pure and mixed), cross-checked against
-// the exact support-enumeration ground truth.
+// Runs a batch of two-phase simulated-annealing descents as one "hardware-sa"
+// SolveRequest on the shared SolverService — each run programs its own FeFET
+// bi-crossbar with the payoff matrices, and at most N runs are in flight
+// (same results for any N) — then prints every distinct Nash equilibrium
+// found (pure and mixed), cross-checked against the exact
+// support-enumeration ground truth.
 
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +16,7 @@
 #include <string>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 
@@ -30,20 +31,21 @@ int main(int argc, char** argv) {
   const game::BimatrixGame g = game::battle_of_sexes();
   std::printf("%s\n", g.to_string().c_str());
 
-  // 1. Configure the solver: probability grid I=12 (the mixed equilibrium
+  // 1. Describe the job: probability grid I=12 (the mixed equilibrium
   //    (2/3,1/3)x(1/3,2/3) lies exactly on this grid), 10000 SA iterations as
   //    in the paper, full hardware model (device variability, WTA offsets,
   //    ADC quantization). Each run gets its own keyed RNG stream and its own
   //    hardware instance, so the batch parallelises without changing results.
-  core::CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 10000;
-  cfg.seed = 2024;
-  cfg.threads = threads;
-  core::CNashSolver solver(g, cfg);
+  core::SolveRequest req(g);
+  req.backend = "hardware-sa";
+  req.intervals = 12;
+  req.sa.iterations = 10000;
+  req.seed = 2024;
+  req.max_parallelism = threads;
 
   // 2. Run 50 annealing descents and collect the solutions.
-  const auto outcomes = solver.run(50);
+  req.runs = 50;
+  const auto outcomes = core::SolverService::shared().solve(req).samples;
 
   // 3. Verify against the exact ground truth.
   const auto ground_truth = game::all_equilibria(g);

@@ -11,7 +11,7 @@
 #include <set>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/repeated_pd.hpp"
 #include "game/support_enum.hpp"
 #include "util/table.hpp"
@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace cnash;
 
-  std::size_t threads = 0;  // 0 = one engine worker per hardware thread
+  std::size_t threads = 0;  // 0 = one run per service worker
   for (int a = 1; a + 1 < argc; ++a)
     if (!std::strcmp(argv[a], "--threads"))
       threads = std::strtoul(argv[a + 1], nullptr, 10);
@@ -65,15 +65,16 @@ int main(int argc, char** argv) {
   // averages — neither integers nor on any small probability grid — so this
   // example reports ε-approximate equilibria: profiles where no deviation
   // gains more than ε = 0.05 payoff per round).
-  core::CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.intervals = 16;
-  cfg.sa.iterations = 20000;
-  cfg.seed = 64;
-  cfg.threads = threads;
-  core::CNashSolver solver(g, cfg);
+  core::SolveRequest req(g);
+  req.backend = "exact-sa";
+  req.runs = 100;
+  req.intervals = 16;
+  req.sa.iterations = 20000;
+  req.seed = 64;
+  req.max_parallelism = threads;
   std::vector<core::CandidateSolution> cands;
-  for (const auto& o : solver.run(100)) cands.push_back({o.p, o.q});
+  for (const auto& o : core::SolverService::shared().solve(req).samples)
+    cands.push_back({o.p, o.q});
   const auto report =
       core::classify(g, result.equilibria, cands, /*nash_eps=*/0.05,
                      /*match_tol=*/0.05);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Release-mode bench smoke: run every bench binary for a few iterations so a
 # perf-path crash (OOB table index, allocation blow-up, divergent loop) fails
-# CI instead of the next person's perf run. Also exercises the shared --json
-# reporting. Usage: scripts/bench_smoke.sh <build-dir> [out-dir]
+# CI instead of the next person's perf run. Also runs the solver examples and
+# exercises the shared --json reporting.
+# Usage: scripts/bench_smoke.sh <build-dir> [out-dir]
 set -euo pipefail
 
 build_dir=${1:?usage: bench_smoke.sh <build-dir> [out-dir]}
@@ -35,6 +36,9 @@ run "$build_dir/bench_ablation_variability" $runs
 run "$build_dir/bench_ablation_faults" $runs
 run "$build_dir/bench_ablation_mlc" $runs
 run "$build_dir/bench_ablation_squbo" $runs
+run "$build_dir/quickstart" --threads $threads
+run "$build_dir/mixed_strategy_hunt" --threads $threads
+run "$build_dir/repeated_pd_tournament" --threads $threads
 if [ -x "$build_dir/bench_micro_vmv" ]; then
   run "$build_dir/bench_micro_vmv" --benchmark_min_time=0.01 --json "$out_dir/"
 fi

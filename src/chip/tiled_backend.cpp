@@ -41,7 +41,7 @@ class TiledSaBackend final : public core::SolverBackend {
 
     auto job = std::make_unique<core::SaPreparedJob>(
         std::move(factory), request.intervals, request.sa, request.report_best,
-        request.seed, request.runs, /*base_run=*/0, request.nash_eps);
+        request.seed, request.runs, request.nash_eps);
     job->backend_name = name_;
     job->modeled_time_s = modeled;
     job->max_parallelism = request.max_parallelism;

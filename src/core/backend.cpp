@@ -155,14 +155,12 @@ SolveReport SolverBackend::solve(const SolveRequest& request) const {
 SaPreparedJob::SaPreparedJob(std::shared_ptr<const EvaluatorFactory> factory,
                              std::uint32_t intervals, SaOptions sa,
                              bool report_best, std::uint64_t seed,
-                             std::size_t num_runs, std::uint64_t base_run,
-                             double nash_eps)
+                             std::size_t num_runs, double nash_eps)
     : factory_(std::move(factory)),
       intervals_(intervals),
       sa_(sa),
       report_best_(report_best),
       root_(seed),
-      base_run_(base_run),
       num_runs_(num_runs),
       nash_eps_(nash_eps) {
   if (!factory_) throw std::invalid_argument("SaPreparedJob: null factory");
@@ -209,7 +207,7 @@ std::vector<SolveSample> SaPreparedJob::run_single_unit(
     std::size_t unit) const {
   // Even keys address evaluator instances, odd keys SA streams, so the two
   // families can never alias across runs.
-  const std::uint64_t r = base_run_ + unit;
+  const std::uint64_t r = unit;
   const std::unique_ptr<ObjectiveEvaluator> objective = factory_->create(2 * r);
   util::Rng rng = root_.split(2 * r + 1);
   std::vector<SolveSample> out{sa_sample(
@@ -220,7 +218,7 @@ std::vector<SolveSample> SaPreparedJob::run_single_unit(
 
 std::vector<SolveSample> SaPreparedJob::run_ensemble_unit(
     std::size_t unit) const {
-  const std::uint64_t e = base_run_ + unit;
+  const std::uint64_t e = unit;
   const std::size_t r = sa_.replicas;
   const std::uint64_t stride = static_cast<std::uint64_t>(r) + 1;
   std::vector<std::unique_ptr<ObjectiveEvaluator>> owned;
@@ -288,7 +286,7 @@ class SaBackend final : public SolverBackend {
     }
     auto job = std::make_unique<SaPreparedJob>(
         std::move(factory), request.intervals, request.sa, request.report_best,
-        request.seed, request.runs, /*base_run=*/0, request.nash_eps);
+        request.seed, request.runs, request.nash_eps);
     job->backend_name = name_;
     job->modeled_time_s = modeled;
     job->max_parallelism = request.max_parallelism;

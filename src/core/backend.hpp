@@ -209,16 +209,15 @@ class SolverRegistry {
   std::vector<std::unique_ptr<SolverBackend>> backends_;
 };
 
-/// The SA job shared by the hardware-sa / exact-sa backends and the
-/// SolverEngine.
+/// The SA job shared by the hardware-sa, hardware-sa-tiled and exact-sa
+/// backends.
 ///
-/// Independent mode: unit u is ONE run, r = base_run + u, on evaluator
-/// instance key 2r and SA stream key 2r + 1 (even/odd keys can never alias
-/// across runs).
+/// Independent mode: unit u is ONE run, r = u, on evaluator instance key 2r
+/// and SA stream key 2r + 1 (even/odd keys can never alias across runs).
 ///
-/// Replica-exchange mode: unit u is ONE ensemble of sa.replicas lockstep
-/// replicas producing one sample (the winning replica). Ensemble e uses a
-/// key stride of (replicas + 1): replica l takes instance key
+/// Replica-exchange mode: unit u is ONE ensemble e = u of sa.replicas
+/// lockstep replicas producing one sample (the winning replica). Ensemble e
+/// uses a key stride of (replicas + 1): replica l takes instance key
 /// 2*(e*(R+1) + l) and SA stream key 2*(e*(R+1) + l) + 1, and the swap
 /// proposals draw from stream key 2*(e*(R+1) + R) + 1 — all distinct within
 /// and across ensembles.
@@ -227,7 +226,7 @@ class SaPreparedJob final : public PreparedJob {
   SaPreparedJob(std::shared_ptr<const EvaluatorFactory> factory,
                 std::uint32_t intervals, SaOptions sa, bool report_best,
                 std::uint64_t seed, std::size_t num_runs,
-                std::uint64_t base_run = 0, double nash_eps = 1e-7);
+                double nash_eps = 1e-7);
 
   std::size_t num_units() const override;
   std::vector<SolveSample> run_unit(std::size_t unit) const override;
@@ -241,7 +240,6 @@ class SaPreparedJob final : public PreparedJob {
   SaOptions sa_;
   bool report_best_;
   util::Rng root_;  // keyed splits only — never advanced
-  std::uint64_t base_run_;
   std::size_t num_runs_;
   double nash_eps_;
 };

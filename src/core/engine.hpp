@@ -1,21 +1,14 @@
 #pragma once
-// core::SolverEngine — dispatch of independent two-phase SA runs, one
-// service unit and one evaluator instance per run.
+// core::EvaluatorFactory — per-run objective evaluators for the SA backends.
 //
 // The paper's headline numbers (Table 1 success rate, Fig. 10
-// time-to-solution) aggregate thousands of INDEPENDENT annealing runs, so the
-// engine treats "one run" as the unit of work. Since the SolverService
-// refactor the engine owns no threads of its own: each run() call becomes
-// one job on the process-wide SolverService pool (see service.hpp), scheduled
-// run-granularly alongside any other in-flight jobs. Every run r derives
-//   * its SA stream            from  Rng(seed).split(2r + 1)
-//   * its evaluator instance   from  EvaluatorFactory::create(2r)
-// Because both are keyed (counter-derived) rather than sequential, the
-// outcome vector is bit-identical for ANY worker count — a serial sweep,
-// 2 workers and 8 workers all reproduce the same per-run streams no matter
-// which worker picks up which run. Evaluator instances are created per run
-// and never shared, so the mutable hardware model (device variability, ADC
-// noise draws) stays thread-confined.
+// time-to-solution) aggregate many INDEPENDENT annealing runs, each on its
+// own evaluator instance. A factory holds one game's immutable state and
+// creates a fresh, thread-confined instance per run; SaPreparedJob (see
+// backend.hpp) asks it for instance key 2r for run r. Keys are counter-
+// derived rather than sequential, so a run's evaluator — its sampled device
+// variability and noise stream — does not depend on which service worker
+// creates it, and reports are bit-identical for any worker count.
 
 #include <cstdint>
 #include <memory>
@@ -28,11 +21,6 @@
 #include "util/rng.hpp"
 
 namespace cnash::core {
-
-/// Stream key reserved for probe/inspection evaluator instances. Run r uses
-/// keys 2r and 2r+1, so this largest odd key could only collide with run
-/// index (2^64 - 2) / 2 — unreachable in practice.
-inline constexpr std::uint64_t kProbeInstanceKey = ~0ULL;
 
 /// Creates fresh, thread-confined evaluator instances for the service's
 /// workers. `instance_key` addresses the instance's RNG stream
@@ -96,45 +84,6 @@ class HardwareEvaluatorFactory final : public EvaluatorFactory {
   chip::ChipConfig chip_;
   util::Rng device_rng_;
   util::FaultPlan fault_;
-};
-
-struct EngineOptions {
-  std::uint32_t intervals = 12;  // strategy quantization I
-  SaOptions sa;
-  /// Report the best profile seen during a run instead of the final accepted
-  /// one (Alg. 1 reports the final recorded pair).
-  bool report_best = false;
-  std::uint64_t seed = 0xC0FFEE;
-  /// Cap on this engine's runs simultaneously in flight on the shared
-  /// SolverService pool; 0 = no cap (one run per pool worker). Any value
-  /// produces the same outcomes — only wall-clock changes.
-  std::size_t threads = 0;
-};
-
-class SolverEngine {
- public:
-  SolverEngine(std::shared_ptr<const EvaluatorFactory> factory,
-               EngineOptions options);
-
-  const EvaluatorFactory& factory() const { return *factory_; }
-  const EngineOptions& options() const { return options_; }
-
-  /// `num_runs` independent SA runs, ordered by run index. The result is
-  /// bit-identical for any `threads` setting given the same seed.
-  /// Consecutive calls continue the run-index sequence, so run(5) twice
-  /// equals run(10).
-  std::vector<SolveSample> run(std::size_t num_runs);
-
-  /// The next single run of the sequence.
-  SolveSample solve_once();
-
-  /// Rewind the run-index counter: the next batch replays from run 0.
-  void rewind() { next_run_ = 0; }
-
- private:
-  std::shared_ptr<const EvaluatorFactory> factory_;
-  EngineOptions options_;
-  std::uint64_t next_run_ = 0;
 };
 
 }  // namespace cnash::core

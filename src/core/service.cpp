@@ -150,29 +150,6 @@ void SolverService::submit_async(SolveRequest request, JobHooks hooks) {
   submit_job(std::move(request), std::move(job));
 }
 
-std::future<SolveReport> SolverService::submit_prepared(
-    std::unique_ptr<PreparedJob> prepared) {
-  auto job = make_job();
-  std::future<SolveReport> future = job->promise.get_future();
-  if (!prepared) {
-    job->promise.set_exception(std::make_exception_ptr(
-        std::invalid_argument("SolverService: null prepared job")));
-    return future;
-  }
-  job->prepared = std::move(prepared);
-  job->total = job->prepared->num_units();
-  job->cap = job->prepared->max_parallelism;
-  job->slots.resize(job->total);
-  if (job->total == 0) {
-    // Nothing to schedule; resolve inline.
-    SolveReport report = assemble_report(*job->prepared, {});
-    job->promise.set_value(std::move(report));
-    return future;
-  }
-  enqueue(std::move(job));
-  return future;
-}
-
 SolveReport SolverService::solve(SolveRequest request) {
   return submit(std::move(request)).get();
 }

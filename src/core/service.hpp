@@ -5,8 +5,7 @@
 // One service owns one worker pool; every submitted job is decomposed into
 // run-granular units (SA runs, annealer reads, pivot labels) that the pool
 // schedules ACROSS concurrent jobs — a large job never blocks a small one,
-// and mixed batches keep every worker busy. This replaces the per-engine
-// std::thread pool the SolverEngine used to spawn per run() call.
+// and mixed batches keep every worker busy.
 //
 // Determinism: a job's report depends only on its request — every unit
 // derives its RNG streams from keyed splits of the job's root seed — so
@@ -129,10 +128,6 @@ class SolverService {
   /// non-final unit. Deadline semantics are identical to submit().
   void submit_async(SolveRequest request, JobHooks hooks);
 
-  /// Queue an already-prepared job (the SolverEngine's entry point: its
-  /// evaluator factory is not addressable by a registry key).
-  std::future<SolveReport> submit_prepared(std::unique_ptr<PreparedJob> job);
-
   /// Synchronous convenience: submit + wait.
   SolveReport solve(SolveRequest request);
 
@@ -163,8 +158,8 @@ class SolverService {
   void drain();
   bool draining() const;
 
-  /// The process-wide service (one worker per hardware thread) used by
-  /// SolverEngine / CNashSolver and the CLI drivers.
+  /// The process-wide service (one worker per hardware thread) used by the
+  /// benches, examples and CLI drivers.
   static SolverService& shared();
 
  private:

@@ -58,7 +58,7 @@ class Rng {
   /// WITHOUT advancing this generator. The same (state, key) pair always
   /// yields the same stream, so a pool of workers can reproduce the exact
   /// per-run streams of a serial sweep regardless of which worker picks up
-  /// which run — the basis of the SolverEngine's thread-count-invariant
+  /// which run — the basis of the SolverService's thread-count-invariant
   /// determinism.
   Rng split(std::uint64_t key) const;
 

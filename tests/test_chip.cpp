@@ -226,7 +226,19 @@ TEST(TiledCrossbar, DeltaKernelsMatchFullReads) {
 TEST(TiledTwoPhase, SingleTileChipHoldsEachArrayOnOneTile) {
   // Square and non-square games, binary and MLC coding, scaled payoffs: the
   // chip single_tile_chip() sizes is one tile per array, and exactly as tall
-  // as the taller array.
+  // as the taller array. mapped_geometry() is the programmed arrays'
+  // geometry, so callers can size and cost a chip without programming one.
+  const auto expect_same_geometry = [](const xbar::MappingGeometry& a,
+                                       const xbar::MappingGeometry& b) {
+    EXPECT_EQ(a.n, b.n);
+    EXPECT_EQ(a.m, b.m);
+    EXPECT_EQ(a.intervals, b.intervals);
+    EXPECT_EQ(a.cells_per_element, b.cells_per_element);
+    EXPECT_EQ(a.levels_per_cell, b.levels_per_cell);
+    EXPECT_EQ(a.total_rows(), b.total_rows());
+    EXPECT_EQ(a.total_cols(), b.total_cols());
+    EXPECT_EQ(a.total_cells(), b.total_cells());
+  };
   util::Rng game_rng(77);
   const game::BimatrixGame wide(random_integer_matrix(3, 6, 7, game_rng),
                                 random_integer_matrix(3, 6, 2, game_rng),
@@ -249,8 +261,8 @@ TEST(TiledTwoPhase, SingleTileChipHoldsEachArrayOnOneTile) {
         EXPECT_EQ(ev->chip_config().tile_cols, chip.tile_cols);
         EXPECT_EQ(ev->chip_m().partition().num_tiles(), 1u);
         EXPECT_EQ(ev->chip_nt().partition().num_tiles(), 1u);
-        EXPECT_EQ(ev->chip_m().mapping().geometry().total_cols(),
-                  geom.m.total_cols());
+        expect_same_geometry(ev->chip_m().mapping().geometry(), geom.m);
+        expect_same_geometry(ev->chip_nt().mapping().geometry(), geom.nt);
       }
 }
 

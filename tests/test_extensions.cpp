@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/strategy.hpp"
 #include "game/support_enum.hpp"
@@ -64,16 +64,18 @@ TEST(Faults, AllStuckOffKillsArray) {
 }
 
 TEST(Faults, SolverSurvivesSmallFaultRates) {
-  core::CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 6000;
-  cfg.seed = 2027;
-  cfg.hardware.array.stuck_off_rate = 0.002;  // 0.2 % dead cells
-  core::CNashSolver solver(game::battle_of_sexes(), cfg);
-  const auto gt = game::all_equilibria(solver.game());
+  core::SolveRequest req(game::battle_of_sexes());
+  req.backend = "hardware-sa";
+  req.runs = 40;
+  req.intervals = 12;
+  req.sa.iterations = 6000;
+  req.seed = 2027;
+  req.hardware.array.stuck_off_rate = 0.002;  // 0.2 % dead cells
+  const auto gt = game::all_equilibria(req.game);
   std::vector<core::CandidateSolution> cands;
-  for (const auto& o : solver.run(40)) cands.push_back({o.p, o.q});
-  const auto r = core::classify(solver.game(), gt, cands, 1e-9);
+  for (const auto& o : core::SolverService::shared().solve(req).samples)
+    cands.push_back({o.p, o.q});
+  const auto r = core::classify(req.game, gt, cands, 1e-9);
   EXPECT_GE(r.success_rate(), 0.8);
 }
 
@@ -174,17 +176,18 @@ TEST(RandomSupport, SupportSizeCappedByIntervals) {
 TEST(SaInit, BothModesSolveBattleOfSexes) {
   for (const auto init :
        {core::SaInit::kRandomComposition, core::SaInit::kRandomSupport}) {
-    core::CNashConfig cfg;
-    cfg.use_hardware = false;
-    cfg.intervals = 12;
-    cfg.sa.iterations = 4000;
-    cfg.sa.init = init;
-    cfg.seed = 2028;
-    core::CNashSolver solver(game::battle_of_sexes(), cfg);
-    const auto gt = game::all_equilibria(solver.game());
+    core::SolveRequest req(game::battle_of_sexes());
+    req.backend = "exact-sa";
+    req.runs = 30;
+    req.intervals = 12;
+    req.sa.iterations = 4000;
+    req.sa.init = init;
+    req.seed = 2028;
+    const auto gt = game::all_equilibria(req.game);
     std::vector<core::CandidateSolution> cands;
-    for (const auto& o : solver.run(30)) cands.push_back({o.p, o.q});
-    const auto r = core::classify(solver.game(), gt, cands, 1e-9);
+    for (const auto& o : core::SolverService::shared().solve(req).samples)
+      cands.push_back({o.p, o.q});
+    const auto r = core::classify(req.game, gt, cands, 1e-9);
     EXPECT_GE(r.success_rate(), 0.9);
   }
 }
@@ -192,17 +195,18 @@ TEST(SaInit, BothModesSolveBattleOfSexes) {
 TEST(SaInit, SupportBiasFindsPureSolutionsOnLargeGame) {
   // The reason the option exists: on the 8-action game, support-biased cold
   // starts reach pure equilibria that composition-random hot starts miss.
-  core::CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.intervals = 60;
-  cfg.sa.iterations = 8000;
-  cfg.sa.init = core::SaInit::kRandomSupport;
-  cfg.seed = 2029;
-  core::CNashSolver solver(game::modified_prisoners_dilemma(), cfg);
-  const auto gt = game::all_equilibria(solver.game());
+  core::SolveRequest req(game::modified_prisoners_dilemma());
+  req.backend = "exact-sa";
+  req.runs = 60;
+  req.intervals = 60;
+  req.sa.iterations = 8000;
+  req.sa.init = core::SaInit::kRandomSupport;
+  req.seed = 2029;
+  const auto gt = game::all_equilibria(req.game);
   std::vector<core::CandidateSolution> cands;
-  for (const auto& o : solver.run(60)) cands.push_back({o.p, o.q});
-  const auto r = core::classify(solver.game(), gt, cands, 1e-9);
+  for (const auto& o : core::SolverService::shared().solve(req).samples)
+    cands.push_back({o.p, o.q});
+  const auto r = core::classify(req.game, gt, cands, 1e-9);
   EXPECT_GE(r.distinct_found(), 5u);
 }
 

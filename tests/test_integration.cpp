@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "core/timing.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
@@ -14,36 +16,42 @@
 namespace cnash::core {
 namespace {
 
-std::vector<CandidateSolution> to_candidates(
-    const std::vector<SolveSample>& outcomes) {
+/// A two-phase SA job on the I = 12 grid.
+SolveRequest sa_request(game::BimatrixGame g, const std::string& backend,
+                        std::size_t runs, std::uint64_t seed,
+                        std::size_t iterations) {
+  SolveRequest req(std::move(g));
+  req.backend = backend;
+  req.runs = runs;
+  req.intervals = 12;
+  req.sa.iterations = iterations;
+  req.seed = seed;
+  return req;
+}
+
+std::vector<CandidateSolution> solve_candidates(const SolveRequest& req) {
   std::vector<CandidateSolution> c;
-  c.reserve(outcomes.size());
-  for (const auto& o : outcomes) c.push_back({o.p, o.q});
+  for (const auto& o : SolverService::shared().solve(req).samples)
+    c.push_back({o.p, o.q});
   return c;
 }
 
 TEST(Integration, CNashFindsAllBattleOfSexesSolutionsOnHardware) {
-  CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 6000;
-  cfg.seed = 91;
-  CNashSolver solver(game::battle_of_sexes(), cfg);
-  const auto gt = game::all_equilibria(solver.game());
-  const auto report =
-      classify(solver.game(), gt, to_candidates(solver.run(60)), 1e-9);
+  const auto g = game::battle_of_sexes();
+  const auto gt = game::all_equilibria(g);
+  const auto report = classify(
+      g, gt, solve_candidates(sa_request(g, "hardware-sa", 60, 91, 6000)),
+      1e-9);
   EXPECT_GE(report.success_rate(), 0.9);
   EXPECT_EQ(report.distinct_found(), 3u);
 }
 
 TEST(Integration, CNashFindsMixedBirdGameSolutionsOnHardware) {
-  CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 8000;
-  cfg.seed = 92;
-  CNashSolver solver(game::bird_game(), cfg);
-  const auto gt = game::all_equilibria(solver.game());
-  const auto report =
-      classify(solver.game(), gt, to_candidates(solver.run(80)), 1e-9);
+  const auto g = game::bird_game();
+  const auto gt = game::all_equilibria(g);
+  const auto report = classify(
+      g, gt, solve_candidates(sa_request(g, "hardware-sa", 80, 92, 8000)),
+      1e-9);
   EXPECT_GE(report.success_rate(), 0.6);
   EXPECT_GT(report.mixed_successes, 0u);
   EXPECT_GE(report.distinct_found(), 5u);
@@ -67,13 +75,9 @@ TEST(Integration, CNashBeatsDWaveProxyOnSolutionCoverage) {
   const auto g = game::bird_game();
   const auto gt = game::all_equilibria(g);
 
-  CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 8000;
-  cfg.seed = 94;
-  CNashSolver solver(g, cfg);
-  const auto cnash_report =
-      classify(g, gt, to_candidates(solver.run(80)), 1e-9);
+  const auto cnash_report = classify(
+      g, gt, solve_candidates(sa_request(g, "hardware-sa", 80, 94, 8000)),
+      1e-9);
 
   util::Rng rng(95);
   const qubo::DWaveProxy proxy(g, qubo::dwave_advantage41_config());
@@ -94,31 +98,22 @@ TEST(Integration, CNashTimeToSolutionBeatsDWaveModel) {
 }
 
 TEST(Integration, ExactAndHardwareBackendsAgreeOnSuccess) {
-  CNashConfig hw_cfg;
-  hw_cfg.intervals = 12;
-  hw_cfg.sa.iterations = 5000;
-  hw_cfg.seed = 96;
-  CNashConfig sw_cfg = hw_cfg;
-  sw_cfg.use_hardware = false;
-
   const auto g = game::battle_of_sexes();
   const auto gt = game::all_equilibria(g);
-  CNashSolver hw(g, hw_cfg);
-  CNashSolver sw(g, sw_cfg);
-  const auto rh = classify(g, gt, to_candidates(hw.run(40)), 1e-9);
-  const auto rs = classify(g, gt, to_candidates(sw.run(40)), 1e-9);
+  const auto rh = classify(
+      g, gt, solve_candidates(sa_request(g, "hardware-sa", 40, 96, 5000)),
+      1e-9);
+  const auto rs = classify(
+      g, gt, solve_candidates(sa_request(g, "exact-sa", 40, 96, 5000)), 1e-9);
   EXPECT_NEAR(rh.success_rate(), rs.success_rate(), 0.25);
 }
 
 TEST(Integration, ModifiedPdHardwareRunsEndToEnd) {
   // Smoke-scale version of the paper's largest instance (I = 60 grid).
-  CNashConfig cfg;
-  cfg.intervals = 60;
-  cfg.sa.iterations = 3000;
-  cfg.seed = 97;
-  CNashSolver solver(game::modified_prisoners_dilemma(), cfg);
-  const auto outcomes = solver.run(3);
-  for (const auto& o : outcomes) {
+  SolveRequest req = sa_request(game::modified_prisoners_dilemma(),
+                                "hardware-sa", 3, 97, 3000);
+  req.intervals = 60;
+  for (const auto& o : SolverService::shared().solve(req).samples) {
     EXPECT_TRUE(game::is_distribution(o.p));
     EXPECT_TRUE(game::is_distribution(o.q));
     EXPECT_GE(o.objective, -1.0);  // hardware noise can dip slightly below 0

@@ -1,54 +1,83 @@
+// Two-phase SA solves as SolveRequests on the shared SolverService: the
+// "hardware-sa" and "exact-sa" backends find the paper games' equilibria,
+// and a request's seed alone fixes its samples.
+
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 
 namespace cnash::core {
 namespace {
 
-TEST(Solver, ExactBackendSolvesBattleOfSexes) {
-  CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 4000;
-  cfg.seed = 81;
-  CNashSolver solver(game::battle_of_sexes(), cfg);
-  const auto outcomes = solver.run(30);
-  ASSERT_EQ(outcomes.size(), 30u);
+SolveRequest sa_request(game::BimatrixGame g, const std::string& backend,
+                        std::size_t runs, std::uint64_t seed,
+                        std::size_t iterations) {
+  SolveRequest req(std::move(g));
+  req.backend = backend;
+  req.runs = runs;
+  req.intervals = 12;
+  req.sa.iterations = iterations;
+  req.seed = seed;
+  return req;
+}
+
+std::vector<SolveSample> run(const SolveRequest& req) {
+  return SolverService::shared().solve(req).samples;
+}
+
+/// Byte-level fingerprint of a sample vector: exact doubles and profiles.
+std::string fingerprint(const std::vector<SolveSample>& samples) {
+  std::string fp;
+  const auto append_bits = [&fp](double v) {
+    const char* bytes = reinterpret_cast<const char*>(&v);
+    fp.append(bytes, sizeof(v));
+  };
+  for (const auto& s : samples) {
+    fp += s.profile->key();
+    fp += '|';
+    append_bits(s.objective);
+    for (double x : s.p) append_bits(x);
+    for (double x : s.q) append_bits(x);
+    fp += '\n';
+  }
+  return fp;
+}
+
+int nash_count(const game::BimatrixGame& g,
+               const std::vector<SolveSample>& samples) {
   int nash = 0;
-  for (const auto& o : outcomes)
-    if (game::is_nash_equilibrium(solver.game(), o.p, o.q, 1e-9)) ++nash;
-  EXPECT_GE(nash, 27);
+  for (const auto& s : samples)
+    if (game::is_nash_equilibrium(g, s.p, s.q, 1e-9)) ++nash;
+  return nash;
+}
+
+TEST(Solver, ExactBackendSolvesBattleOfSexes) {
+  const auto samples =
+      run(sa_request(game::battle_of_sexes(), "exact-sa", 30, 81, 4000));
+  ASSERT_EQ(samples.size(), 30u);
+  EXPECT_GE(nash_count(game::battle_of_sexes(), samples), 27);
 }
 
 TEST(Solver, HardwareBackendSolvesBattleOfSexes) {
-  CNashConfig cfg;
-  cfg.use_hardware = true;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 4000;
-  cfg.seed = 82;
-  CNashSolver solver(game::battle_of_sexes(), cfg);
-  ASSERT_NE(solver.hardware(), nullptr);
-  const auto outcomes = solver.run(20);
-  int nash = 0;
-  for (const auto& o : outcomes)
-    if (game::is_nash_equilibrium(solver.game(), o.p, o.q, 1e-9)) ++nash;
-  EXPECT_GE(nash, 15);
+  const auto samples =
+      run(sa_request(game::battle_of_sexes(), "hardware-sa", 20, 82, 4000));
+  ASSERT_EQ(samples.size(), 20u);
+  EXPECT_GE(nash_count(game::battle_of_sexes(), samples), 15);
 }
 
 TEST(Solver, FindsBothPureAndMixedSolutions) {
-  CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 5000;
-  cfg.seed = 83;
-  CNashSolver solver(game::battle_of_sexes(), cfg);
-  const auto gt = game::all_equilibria(solver.game());
+  const game::BimatrixGame g = game::battle_of_sexes();
+  const auto gt = game::all_equilibria(g);
   std::vector<CandidateSolution> cands;
-  for (const auto& o : solver.run(60)) cands.push_back({o.p, o.q});
-  const auto report = classify(solver.game(), gt, cands, 1e-9);
+  for (const auto& s : run(sa_request(g, "exact-sa", 60, 83, 5000)))
+    cands.push_back({s.p, s.q});
+  const auto report = classify(g, gt, cands, 1e-9);
   EXPECT_GT(report.pure_successes, 0u);
   EXPECT_GT(report.mixed_successes, 0u);
   EXPECT_EQ(report.target(), 3u);
@@ -56,42 +85,43 @@ TEST(Solver, FindsBothPureAndMixedSolutions) {
 }
 
 TEST(Solver, DeterministicGivenSeed) {
-  CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.sa.iterations = 500;
-  cfg.seed = 84;
-  CNashSolver a(game::bird_game(), cfg);
-  CNashSolver b(game::bird_game(), cfg);
-  const auto oa = a.run(5);
-  const auto ob = b.run(5);
-  for (std::size_t i = 0; i < 5; ++i)
-    EXPECT_EQ(oa[i].profile->key(), ob[i].profile->key());
+  const SolveRequest req =
+      sa_request(game::bird_game(), "exact-sa", 5, 84, 500);
+  EXPECT_EQ(fingerprint(run(req)), fingerprint(run(req)));
+}
+
+TEST(Solver, DifferentSeedsProduceDifferentRuns) {
+  SolveRequest a = sa_request(game::bird_game(), "exact-sa", 8, 1, 600);
+  SolveRequest b = sa_request(game::bird_game(), "exact-sa", 8, 2, 600);
+  a.max_parallelism = b.max_parallelism = 2;
+  EXPECT_NE(fingerprint(run(a)), fingerprint(run(b)));
 }
 
 TEST(Solver, ReportBestOptionNeverWorseThanFinal) {
-  CNashConfig final_cfg;
-  final_cfg.use_hardware = false;
-  final_cfg.sa.iterations = 300;
-  final_cfg.seed = 85;
-  CNashConfig best_cfg = final_cfg;
-  best_cfg.report_best = true;
-  CNashSolver fin(game::bird_game(), final_cfg);
-  CNashSolver best(game::bird_game(), best_cfg);
-  const auto of = fin.run(10);
-  const auto ob = best.run(10);
-  for (std::size_t i = 0; i < 10; ++i)
+  // Same seed => same per-run trajectories, so best <= final run by run.
+  SolveRequest final_req =
+      sa_request(game::bird_game(), "exact-sa", 10, 85, 300);
+  SolveRequest best_req = final_req;
+  best_req.report_best = true;
+  const auto of = run(final_req);
+  const auto ob = run(best_req);
+  ASSERT_EQ(of.size(), ob.size());
+  for (std::size_t i = 0; i < of.size(); ++i)
     EXPECT_LE(ob[i].objective, of[i].objective + 1e-12);
 }
 
+TEST(Solver, ParallelRunsStillSolve) {
+  // Quality survives parallel dispatch: most runs land on equilibria.
+  SolveRequest req = sa_request(game::bird_game(), "exact-sa", 24, 4321, 4000);
+  req.max_parallelism = 8;
+  EXPECT_GE(nash_count(game::bird_game(), run(req)), 16);
+}
+
 TEST(Solver, OutcomeDistributionsAreValid) {
-  CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.sa.iterations = 200;
-  cfg.seed = 86;
-  CNashSolver solver(game::modified_prisoners_dilemma(), cfg);
-  for (const auto& o : solver.run(5)) {
-    EXPECT_TRUE(game::is_distribution(o.p));
-    EXPECT_TRUE(game::is_distribution(o.q));
+  for (const auto& s : run(sa_request(game::modified_prisoners_dilemma(),
+                                      "exact-sa", 5, 86, 200))) {
+    EXPECT_TRUE(game::is_distribution(s.p));
+    EXPECT_TRUE(game::is_distribution(s.q));
   }
 }
 
